@@ -100,7 +100,7 @@ DramModel::inFlight() const
 {
     std::size_t total = 0;
     for (const Channel &ch : channels_)
-        total += ch.inFlight;
+        total += ch.queue.size();
     return total;
 }
 
@@ -150,15 +150,22 @@ DramModel::channelOf(Addr addr) const
 }
 
 void
-DramModel::enqueue(unsigned channelIdx, unsigned bank, std::uint64_t row,
-                   Addr addr, bool isWrite, std::int32_t origin,
-                   SimCallback onDone)
+DramModel::enqueue(const Decoded &d, bool isWrite, Cycles issued,
+                   std::int32_t origin, SimCallback onDone)
 {
-    Channel &channel = channels_[channelIdx];
-    channel.queue.push_back(DramRequest{addr, isWrite, channel.lane->now(),
-                                        bank, row, origin,
-                                        std::move(onDone)});
-    ++channel.inFlight;
+    Channel &channel = channels_[d.channel];
+    if (channel.freeSlots.empty()) {
+        channel.freeSlots.push_back(
+            static_cast<std::uint32_t>(channel.slab.size()));
+        channel.slab.emplace_back();
+    }
+    const std::uint32_t slot = channel.freeSlots.back();
+    channel.freeSlots.pop_back();
+    Payload &p = channel.slab[slot];
+    p.issued = issued;
+    p.origin = origin;
+    p.onDone = std::move(onDone);
+    channel.queue.push_back(ScanRecord{d.row, d.bank, slot});
     if (isWrite)
         ++channel.stats.writes;
     else
@@ -172,7 +179,7 @@ DramModel::access(Addr addr, bool isWrite, SimCallback onDone)
     if (subs_ == nullptr) {
         // Serial / hub-only engine: the legacy inline path, byte-identical
         // to the pre-sub-lane model.
-        enqueue(d.channel, d.bank, d.row, addr, isWrite, kOriginControl,
+        enqueue(d, isWrite, events_.now(), kOriginControl,
                 std::move(onDone));
         tryDispatch(d.channel);
         return;
@@ -181,15 +188,7 @@ DramModel::access(Addr addr, bool isWrite, SimCallback onDone)
     // is safe, but dispatch decisions belong to the owning sub-lane's
     // clock — kick it at the current control cycle (the sub phase for
     // this window has not run yet, so the kick lands in-window).
-    Channel &channel = channels_[d.channel];
-    channel.queue.push_back(DramRequest{addr, isWrite, events_.now(), d.bank,
-                                        d.row, kOriginControl,
-                                        std::move(onDone)});
-    ++channel.inFlight;
-    if (isWrite)
-        ++channel.stats.writes;
-    else
-        ++channel.stats.reads;
+    enqueue(d, isWrite, events_.now(), kOriginControl, std::move(onDone));
     scheduleDispatch(d.channel, events_.now());
 }
 
@@ -200,7 +199,7 @@ DramModel::accessFromSub(unsigned srcSub, Addr addr, bool isWrite,
     assert(subs_ != nullptr);
     const Decoded d = decode(addr);
     if (d.channel == srcSub) {
-        enqueue(d.channel, d.bank, d.row, addr, isWrite,
+        enqueue(d, isWrite, channels_[srcSub].lane->now(),
                 static_cast<std::int32_t>(srcSub), std::move(onDone));
         tryDispatch(d.channel);
         return;
@@ -211,8 +210,8 @@ DramModel::accessFromSub(unsigned srcSub, Addr addr, bool isWrite,
     // most one window — see hub_sublanes.h).
     subs_->subToSub(
         srcSub, d.channel, channels_[srcSub].lane->now(),
-        [this, d, addr, isWrite, srcSub, fn = std::move(onDone)]() mutable {
-            enqueue(d.channel, d.bank, d.row, addr, isWrite,
+        [this, d, isWrite, srcSub, fn = std::move(onDone)]() mutable {
+            enqueue(d, isWrite, channels_[d.channel].lane->now(),
                     static_cast<std::int32_t>(srcSub), std::move(fn));
             tryDispatch(d.channel);
         });
@@ -272,13 +271,13 @@ DramModel::tryDispatch(unsigned channelIdx)
         // FR-FCFS: among requests whose bank is ready, prefer the oldest
         // row hit, then the oldest request overall. The queue preserves
         // arrival order, so a linear scan finds both candidates.
-        std::size_t pick = channel.queue.size();
-        bool pick_is_hit = false;
-        Cycles earliest_ready = std::numeric_limits<Cycles>::max();
         const std::size_t window =
             std::min(channel.queue.size(), config_.schedulerWindow);
+        std::size_t pick = window;
+        bool pick_is_hit = false;
+        Cycles earliest_ready = std::numeric_limits<Cycles>::max();
         for (std::size_t i = 0; i < window; ++i) {
-            const DramRequest &cand = channel.queue[i];
+            const ScanRecord &cand = channel.queue[i];
             const Bank &bank = channel.banks[cand.bank];
             if (bank.readyAt > now) {
                 earliest_ready = std::min(earliest_ready, bank.readyAt);
@@ -291,11 +290,11 @@ DramModel::tryDispatch(unsigned channelIdx)
                 pick_is_hit = true;
                 break;  // oldest ready row hit wins immediately
             }
-            if (pick == channel.queue.size())
+            if (pick == window)
                 pick = i;  // remember the oldest ready request
         }
 
-        if (pick == channel.queue.size()) {
+        if (pick == window) {
             // Every request in the window targets a busy bank; retry
             // when the first bank frees up.
             if (earliest_ready != std::numeric_limits<Cycles>::max())
@@ -303,7 +302,7 @@ DramModel::tryDispatch(unsigned channelIdx)
             return;
         }
 
-        DramRequest req = std::move(channel.queue[pick]);
+        const ScanRecord req = channel.queue[pick];
         channel.queue.erase(channel.queue.begin() +
                             static_cast<std::ptrdiff_t>(pick));
 
@@ -327,9 +326,11 @@ DramModel::tryDispatch(unsigned channelIdx)
         bank.readyAt = now + (pick_is_hit ? config_.bankBusyHitCycles
                                           : config_.bankBusyMissCycles);
 
-        channel.stats.latency.record(done - req.issued);
-        --channel.inFlight;
-        completeAt(channelIdx, done, req.origin, std::move(req.onDone));
+        // The moved-from slot is left empty for the free list to reuse.
+        Payload &p = channel.slab[req.slot];
+        channel.stats.latency.record(done - p.issued);
+        completeAt(channelIdx, done, p.origin, std::move(p.onDone));
+        channel.freeSlots.push_back(req.slot);
     }
 }
 
@@ -386,8 +387,7 @@ void
 DramModel::saveState(ckpt::Writer &w) const
 {
     for (const Channel &ch : channels_) {
-        MOSAIC_ASSERT(ch.queue.empty() && ch.inFlight == 0 &&
-                          !ch.dispatchScheduled,
+        MOSAIC_ASSERT(ch.queue.empty() && !ch.dispatchScheduled,
                       "checkpointing a DRAM channel with queued requests");
         for (const Bank &bank : ch.banks) {
             w.u64(static_cast<std::uint64_t>(bank.openRow));

@@ -23,7 +23,6 @@
 #define MOSAIC_DRAM_DRAM_H
 
 #include <cstdint>
-#include <deque>
 #include <vector>
 
 #include "common/inline_function.h"
@@ -69,24 +68,6 @@ struct DramConfig
     Cycles bulkCopyViaBusCyclesPerLine = 8;  ///< read+write per line, no BC
     /** FR-FCFS only considers the oldest this-many queued requests. */
     std::size_t schedulerWindow = 48;
-};
-
-/** One outstanding line-granularity DRAM access. */
-struct DramRequest
-{
-    Addr addr = 0;
-    bool isWrite = false;
-    Cycles issued = 0;
-    /** Bank/row decoded once at enqueue: the FR-FCFS scan consults every
-     *  queued request each dispatch, and decode divides by runtime
-     *  config values, so re-deriving it there is the scheduler's single
-     *  largest cost. */
-    unsigned bank = 0;
-    std::uint64_t row = 0;
-    /** Lane the completion callback must run on: kOriginControl for the
-     *  control/serial lane, else the issuing sub-lane's index. */
-    std::int32_t origin = -1;
-    SimCallback onDone;
 };
 
 /**
@@ -176,16 +157,15 @@ class DramModel
     /** Configuration used to build this model. */
     const DramConfig &config() const { return config_; }
 
-    /** Number of requests currently queued or in flight. */
+    /** Number of requests queued and not yet dispatched. */
     std::size_t inFlight() const;
 
     /**
      * @name Checkpoint hooks (DESIGN.md §14)
      * Captures per-channel bank state (open rows, ready times), bus and
      * dispatch timing, and all counters. Request queues must be empty —
-     * a queued DramRequest holds a completion continuation that cannot
-     * be serialized, so the quiesce protocol drains them first
-     * (asserted).
+     * a queued request holds a completion continuation that cannot be
+     * serialized, so the quiesce protocol drains them first (asserted).
      */
     ///@{
     void saveState(ckpt::Writer &w) const;
@@ -209,11 +189,40 @@ class DramModel
         Histogram latency{32, 64};
     };
 
+    /**
+     * What the FR-FCFS scan reads of one queued request: bank and row,
+     * decoded once at enqueue (decode divides by runtime config values),
+     * and the request's payload slot. 16 trivially-copyable bytes, so a
+     * 48-request window spans 12 cache lines and a mid-queue erase is a
+     * memmove that never touches a continuation.
+     */
+    struct ScanRecord
+    {
+        std::uint64_t row;
+        std::uint32_t bank;
+        std::uint32_t slot;
+    };
+
+    /** The rest of a queued request, read only once it dispatches. */
+    struct Payload
+    {
+        Cycles issued = 0;
+        /** Lane the completion callback must run on: kOriginControl for
+         *  the control/serial lane, else the issuing sub-lane's index. */
+        std::int32_t origin = kOriginControl;
+        SimCallback onDone;
+    };
+
     /** Cache-line aligned: adjacent channels run on different threads. */
     struct alignas(64) Channel
     {
         std::vector<Bank> banks;
-        std::deque<DramRequest> queue;
+        /** Queued requests in arrival order (DESIGN.md §11). */
+        std::vector<ScanRecord> queue;
+        /** Payloads indexed by ScanRecord::slot; free slots are reused
+         *  LIFO, so steady-state queueing allocates nothing. */
+        std::vector<Payload> slab;
+        std::vector<std::uint32_t> freeSlots;
         Cycles busFreeAt = 0;
         /** Retry bookkeeping: a dispatch event is pending at dispatchAt.
          *  Tracking the time (not just a flag) lets an *earlier* retry
@@ -224,7 +233,6 @@ class DramModel
          *  sub-lane channelIdx's queue once attachSubLanes() ran. */
         EventQueue *lane = nullptr;
         ChannelStats stats;
-        std::size_t inFlight = 0;
     };
 
     struct Decoded
@@ -235,9 +243,8 @@ class DramModel
     };
 
     Decoded decode(Addr addr) const;
-    void enqueue(unsigned channelIdx, unsigned bank, std::uint64_t row,
-                 Addr addr, bool isWrite, std::int32_t origin,
-                 SimCallback onDone);
+    void enqueue(const Decoded &d, bool isWrite, Cycles issued,
+                 std::int32_t origin, SimCallback onDone);
     void tryDispatch(unsigned channelIdx);
     void scheduleDispatch(unsigned channelIdx, Cycles when);
     void completeAt(unsigned channelIdx, Cycles done, std::int32_t origin,

@@ -646,12 +646,11 @@ runSimulation(const Workload &workload, const SimConfig &config)
     // directly affects performance. Additionally, a random slice of
     // another buffer is released to create the internal fragmentation
     // CAC exists to clean up.
-    std::shared_ptr<std::function<void()>> churn_tick;
+    std::function<void()> churn_tick;
     Rng churn_rng(config.seed * 31 + 7);
     if (config.churn.enabled) {
-        churn_tick = std::make_shared<std::function<void()>>();
-        *churn_tick = [&apps, &manager, &events, &config, &churn_rng,
-                       &quiescing, churn_tick] {
+        churn_tick = [&apps, &manager, &events, &config, &churn_rng,
+                      &quiescing, &churn_tick] {
             if (quiescing)
                 return;  // draining; the checkpoint re-arm reschedules
             std::vector<AppCtx *> live;
@@ -690,11 +689,11 @@ runSimulation(const Workload &workload, const SimConfig &config)
             }
 
             events.scheduleAfter(config.churn.periodCycles,
-                                 [churn_tick] { (*churn_tick)(); });
+                                 [&churn_tick] { churn_tick(); });
         };
         if (!restoring) {
             events.scheduleAfter(config.churn.periodCycles,
-                                 [churn_tick] { (*churn_tick)(); });
+                                 [&churn_tick] { churn_tick(); });
         }
     }
 
@@ -965,7 +964,7 @@ runSimulation(const Workload &workload, const SimConfig &config)
         gpu.resumeAll(R);
         if (config.churn.enabled) {
             events.schedule(R + config.churn.periodCycles,
-                            [churn_tick] { (*churn_tick)(); });
+                            [&churn_tick] { churn_tick(); });
         }
         if (config.metricsSamplePeriod > 0 && !all_finished) {
             events.schedule(R + config.metricsSamplePeriod,

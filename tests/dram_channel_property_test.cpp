@@ -13,7 +13,12 @@
  *  - conservation: every issued request completes exactly once and the
  *    per-channel stats slices merge to the issued totals;
  *  - FR-FCFS precedence: among ready requests the oldest row hit
- *    dispatches first, else the oldest request overall.
+ *    dispatches first, else the oldest request overall, and only the
+ *    oldest schedulerWindow requests are candidates;
+ *  - scheduler equivalence: a reference copy of the straightforward
+ *    scheduler (whole requests in a std::deque, scanned in place)
+ *    completes every request of a deep randomized schedule on the same
+ *    cycle as the model.
  *
  * The test re-derives (channel, bank, row) with its own copy of the
  * interleave math so the directed FR-FCFS cases can construct same-bank
@@ -24,6 +29,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <deque>
+#include <limits>
 #include <vector>
 
 #include "common/rng.h"
@@ -338,6 +345,261 @@ TEST(DramChannelPropertyTest, FrFcfsFallsBackToOldestInEveryMode)
             << "request dispatches first";
         EXPECT_EQ(dram.stats().rowHits, 0u) << modeName(mode);
         EXPECT_EQ(dram.stats().rowMisses, 3u) << modeName(mode);
+    }
+}
+
+TEST(DramChannelPropertyTest, FrFcfsWindowHidesOlderThanWindowRowHits)
+{
+    for (ChannelInterleave mode : kModes) {
+        const DramConfig cfg = testConfig(mode);
+        const std::size_t window = cfg.schedulerWindow;
+        // prime opens row 0 of bank 0 and makes it busy. Behind it,
+        // conflicts on rows 1, 2, ... of the same bank queue up, then one
+        // row-0 hit at queue position hit_pos. When the bank frees, the
+        // hit wins only if it sits inside the window. Otherwise the
+        // oldest conflict dispatches and reopens the bank on another
+        // row, so the hit never gets to be one.
+        for (const std::size_t hit_pos : {window - 1, window}) {
+            const Addr prime = findAddr(cfg, 0, 0, 0);
+            const Addr hit = findAddr(cfg, 0, 0, 0, {prime});
+
+            EventQueue ev;
+            DramModel dram(ev, cfg);
+            Cycles first_conflict_done = 0, hit_done = 0;
+            dram.access(prime, false, [] {});
+            for (std::size_t i = 0; i < hit_pos; ++i) {
+                const Addr conflict = findAddr(cfg, 0, 0, 1 + i);
+                if (i == 0)
+                    dram.access(conflict, false,
+                                [&] { first_conflict_done = ev.now(); });
+                else
+                    dram.access(conflict, false, [] {});
+            }
+            dram.access(hit, false, [&] { hit_done = ev.now(); });
+            ASSERT_EQ(dram.inFlight(), hit_pos + 1) << modeName(mode);
+            ev.runAll();
+
+            if (hit_pos < window) {
+                EXPECT_LT(hit_done, first_conflict_done)
+                    << modeName(mode) << ": a ready row hit at window "
+                    << "position " << hit_pos << " dispatches first";
+                EXPECT_EQ(dram.stats().rowHits, 1u) << modeName(mode);
+            } else {
+                EXPECT_LT(first_conflict_done, hit_done)
+                    << modeName(mode) << ": a row hit at queue position "
+                    << hit_pos << " is outside the window, so the oldest "
+                    << "ready request dispatches first";
+                EXPECT_EQ(dram.stats().rowHits, 0u) << modeName(mode);
+            }
+        }
+    }
+}
+
+/**
+ * The FR-FCFS channel scheduler as it stood before the queue became flat
+ * scan records plus a payload slab: whole requests in a std::deque,
+ * scanned in place and erased from the middle. Serial engine only. It
+ * counts the retry events that fire after an earlier reschedule
+ * superseded them, so the differential test can show it exercises that
+ * path.
+ */
+class DequeFrFcfsReference
+{
+  public:
+    DequeFrFcfsReference(EventQueue &events, const DramConfig &config)
+        : events_(events), config_(config), channels_(config.channels)
+    {
+        for (Channel &ch : channels_)
+            ch.banks.assign(config_.banksPerChannel, Bank{});
+    }
+
+    void
+    access(Addr addr, SimCallback onDone)
+    {
+        const Decoded d = refDecode(config_, addr);
+        Channel &ch = channels_[d.channel];
+        ch.queue.push_back(
+            Request{events_.now(), d.bank, d.row, std::move(onDone)});
+        maxDepth_ = std::max(maxDepth_, ch.queue.size());
+        tryDispatch(d.channel);
+    }
+
+    std::uint64_t rowHits() const { return rowHits_; }
+    std::size_t maxDepth() const { return maxDepth_; }
+    std::uint64_t supersededRetries() const { return superseded_; }
+
+  private:
+    struct Request
+    {
+        Cycles issued;
+        unsigned bank;
+        std::uint64_t row;
+        SimCallback onDone;
+    };
+
+    struct Bank
+    {
+        std::int64_t openRow = -1;
+        Cycles readyAt = 0;
+    };
+
+    struct Channel
+    {
+        std::vector<Bank> banks;
+        std::deque<Request> queue;
+        Cycles busFreeAt = 0;
+        bool dispatchScheduled = false;
+        Cycles dispatchAt = 0;
+    };
+
+    void
+    scheduleDispatch(unsigned c, Cycles when)
+    {
+        Channel &ch = channels_[c];
+        when = std::max(when, events_.now());
+        if (ch.dispatchScheduled && ch.dispatchAt <= when)
+            return;
+        ch.dispatchScheduled = true;
+        ch.dispatchAt = when;
+        events_.schedule(when, [this, c, when] {
+            Channel &ch = channels_[c];
+            if (!ch.dispatchScheduled || ch.dispatchAt != when) {
+                ++superseded_;
+                return;
+            }
+            ch.dispatchScheduled = false;
+            tryDispatch(c);
+        });
+    }
+
+    void
+    tryDispatch(unsigned c)
+    {
+        Channel &ch = channels_[c];
+        const Cycles now = events_.now();
+        while (!ch.queue.empty()) {
+            std::size_t pick = ch.queue.size();
+            bool pick_is_hit = false;
+            Cycles earliest_ready = std::numeric_limits<Cycles>::max();
+            const std::size_t window =
+                std::min(ch.queue.size(), config_.schedulerWindow);
+            for (std::size_t i = 0; i < window; ++i) {
+                const Request &cand = ch.queue[i];
+                const Bank &bank = ch.banks[cand.bank];
+                if (bank.readyAt > now) {
+                    earliest_ready = std::min(earliest_ready, bank.readyAt);
+                    continue;
+                }
+                if (bank.openRow == static_cast<std::int64_t>(cand.row)) {
+                    pick = i;
+                    pick_is_hit = true;
+                    break;
+                }
+                if (pick == ch.queue.size())
+                    pick = i;
+            }
+            if (pick == ch.queue.size()) {
+                if (earliest_ready != std::numeric_limits<Cycles>::max())
+                    scheduleDispatch(c, earliest_ready);
+                return;
+            }
+
+            Request req = std::move(ch.queue[pick]);
+            ch.queue.erase(ch.queue.begin() +
+                           static_cast<std::ptrdiff_t>(pick));
+            Bank &bank = ch.banks[req.bank];
+            if (pick_is_hit)
+                ++rowHits_;
+            const Cycles data_ready =
+                now + (pick_is_hit ? config_.rowHitCycles
+                                   : config_.rowMissCycles);
+            const Cycles done =
+                std::max(data_ready, ch.busFreeAt) + config_.burstCycles;
+            ch.busFreeAt = done;
+            bank.openRow = static_cast<std::int64_t>(req.row);
+            bank.readyAt = now + (pick_is_hit ? config_.bankBusyHitCycles
+                                              : config_.bankBusyMissCycles);
+            events_.schedule(done, std::move(req.onDone));
+        }
+    }
+
+    EventQueue &events_;
+    DramConfig config_;
+    std::vector<Channel> channels_;
+    std::uint64_t rowHits_ = 0;
+    std::size_t maxDepth_ = 0;
+    std::uint64_t superseded_ = 0;
+};
+
+TEST(DramChannelPropertyTest, DeepQueuesMatchDequeReferenceInEveryMode)
+{
+    // Windows below, at and above the test's typical queue depth, so the
+    // window boundary cuts through deep queues and shallow ones.
+    const std::size_t kWindows[] = {1, 8, 48};
+    for (ChannelInterleave mode : kModes) {
+        std::size_t max_depth = 0;
+        std::uint64_t superseded = 0;
+        for (const std::size_t window : kWindows) {
+            DramConfig cfg = testConfig(mode);
+            cfg.banksPerChannel = 4;
+            cfg.schedulerWindow = window;
+            Rng rng(0xF1A7ull * (window + 1) +
+                    static_cast<std::uint64_t>(mode));
+
+            EventQueue model_ev, ref_ev;
+            DramModel model(model_ev, cfg);
+            DequeFrFcfsReference ref(ref_ev, cfg);
+
+            // 3000 requests in bursts of up to 40 over 8000 cycles outrun
+            // the channels, so queues reach 100+ deep: row hits hide
+            // behind conflicts past the window, and arrivals land while
+            // retries are pending. Addresses cover the first pages of
+            // one large frame per channel, so Frame mode spreads over
+            // every channel too, on a few rows per bank.
+            const int kOps = 3000;
+            std::vector<Cycles> model_done(kOps, 0), ref_done(kOps, 0);
+            int op = 0;
+            while (op < kOps) {
+                const Cycles at = rng.below(8000);
+                const int burst =
+                    std::min<int>(kOps - op, 1 + rng.below(40));
+                for (int b = 0; b < burst; ++b, ++op) {
+                    const Addr addr =
+                        rng.below(cfg.channels) * kLargePageSize +
+                        rng.below(4 * kBasePageSize) / kCacheLineSize *
+                            kCacheLineSize;
+                    const bool is_write = rng.chance(0.25);
+                    model_ev.schedule(at, [&, op, addr, is_write] {
+                        model.access(addr, is_write, [&, op] {
+                            model_done[op] = model_ev.now();
+                        });
+                    });
+                    ref_ev.schedule(at, [&, op, addr] {
+                        ref.access(addr,
+                                   [&, op] { ref_done[op] = ref_ev.now(); });
+                    });
+                }
+            }
+            model_ev.runAll();
+            ref_ev.runAll();
+
+            for (int i = 0; i < kOps; ++i) {
+                ASSERT_NE(ref_done[i], 0u);
+                ASSERT_EQ(model_done[i], ref_done[i])
+                    << modeName(mode) << " window " << window
+                    << ": request " << i << " completes on another cycle";
+            }
+            EXPECT_EQ(model.stats().rowHits, ref.rowHits())
+                << modeName(mode) << " window " << window;
+            EXPECT_GT(ref.rowHits(), 0u) << modeName(mode);
+            EXPECT_EQ(model_ev.now(), ref_ev.now());
+            EXPECT_EQ(model.inFlight(), 0u);
+            max_depth = std::max(max_depth, ref.maxDepth());
+            superseded += ref.supersededRetries();
+        }
+        // The schedules must reach the paths they are meant to cover.
+        EXPECT_GT(max_depth, kWindows[2]) << modeName(mode);
+        EXPECT_GT(superseded, 0u) << modeName(mode);
     }
 }
 
