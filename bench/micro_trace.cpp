@@ -117,7 +117,7 @@ oneRunSeconds(const Workload &w, const SimConfig &config)
 }
 
 double
-measureDisabledOverhead(unsigned shards)
+measureDisabledOverhead()
 {
     Workload w = scaledWorkload(homogeneousWorkload("SCP", 1), 0.05);
     for (AppParams &a : w.apps)
@@ -125,7 +125,6 @@ measureDisabledOverhead(unsigned shards)
     SimConfig off = SimConfig::mosaicDefault().withIoCompression(16.0);
     off.gpu.sm.warpsPerSm = 8;
     off.churn.enabled = true;
-    off.engineShards = shards;
 
     // Live tracer, empty category mask: every instrumented branch is
     // taken and rejected; nothing is recorded.
@@ -146,29 +145,23 @@ measureDisabledOverhead(unsigned shards)
         armedSec = std::min(armedSec, oneRunSeconds(w, armed));
     }
     const double overhead = armedSec / offSec - 1.0;
-    std::printf("disabled-tracing overhead (%s): %.2f%% "
+    std::printf("disabled-tracing overhead: %.2f%% "
                 "(off %.3fms, armed %.3fms, budget 2%%)\n",
-                shards == 0 ? "serial" : "sharded", overhead * 100.0,
-                offSec * 1e3, armedSec * 1e3);
+                overhead * 100.0, offSec * 1e3, armedSec * 1e3);
     return overhead;
 }
 
-/** @return true when the ≤2% disabled-tracing budget holds under both
- *  engines (serial, and sharded with its per-lane rings armed). */
+/** @return true when the ≤2% disabled-tracing budget holds. */
 bool
 checkDisabledOverheadBudget()
 {
-    for (const unsigned shards : {0u, 2u}) {
-        if (measureDisabledOverhead(shards) <= 0.02)
-            continue;
-        // One re-measure before declaring failure: a shared CI machine
-        // can add a few percent of one-sided noise. A genuine
-        // instrumentation regression exceeds the budget in both passes.
-        std::printf("over budget; re-measuring once\n");
-        if (measureDisabledOverhead(shards) > 0.02)
-            return false;
-    }
-    return true;
+    if (measureDisabledOverhead() <= 0.02)
+        return true;
+    // One re-measure before declaring failure: a shared CI machine can
+    // add a few percent of one-sided noise. A genuine instrumentation
+    // regression exceeds the budget in both passes.
+    std::printf("over budget; re-measuring once\n");
+    return measureDisabledOverhead() <= 0.02;
 }
 
 }  // namespace

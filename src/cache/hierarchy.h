@@ -8,14 +8,6 @@
  * Misses allocate MSHRs so concurrent requests to one line merge. The
  * page-table walker injects its accesses at the L2 (walker data is shared
  * across SMs, so it bypasses private L1s, as in the GPU-MMU baseline).
- *
- * Under hub sub-lanes (attachSubLanes; DESIGN.md §12, ROADMAP 6(b))
- * each L2 bank belongs to the sub-lane of its congruent DRAM channel
- * (bank % subLaneCount): the bank's tags, MSHRs, issue port, and stats
- * slice are touched only from that sub-lane's phase (or the control
- * phase, which never runs concurrently with it). SM misses route
- * straight to the owning sub-lane; walker/runtime L2 probes hop from
- * the control lane to the bank's sub-lane and back.
  */
 
 #ifndef MOSAIC_CACHE_HIERARCHY_H
@@ -33,8 +25,6 @@
 #include "common/types.h"
 #include "dram/dram.h"
 #include "engine/event_queue.h"
-#include "engine/hub_sublanes.h"
-#include "engine/lane_router.h"
 
 namespace mosaic {
 
@@ -83,24 +73,10 @@ class CacheHierarchy
     /**
      * @param metrics when non-null, hit/miss counters register under
      *                "cache.*" at construction (DESIGN.md §8).
-     * @param router  when non-null, the hierarchy runs under the sharded
-     *                engine: access() executes on the requesting SM's
-     *                lane (L1 tags + L1 MSHRs are lane-local) and every
-     *                L1<->L2 interconnect hop crosses lanes through the
-     *                router at its natural cycle. Null (the default)
-     *                keeps the classic serial behavior byte-identical.
      */
     CacheHierarchy(EventQueue &events, DramModel &dram,
                    const CacheHierarchyConfig &config,
-                   StatsRegistry *metrics = nullptr,
-                   LaneRouter *router = nullptr);
-
-    /**
-     * Attaches the hub sub-lane router (requires a LaneRouter too):
-     * every L2 bank migrates from the hub lane to sub-lane
-     * bank % subLaneCount. Must be called before the first access.
-     */
-    void attachSubLanes(HubSubLanes *subs);
+                   StatsRegistry *metrics = nullptr);
 
     /** SM data access: L1 -> L2 -> DRAM. */
     void access(SmId sm, Addr paddr, bool isWrite, Callback onDone);
@@ -111,7 +87,7 @@ class CacheHierarchy
     /** Uncached access that goes straight to DRAM (walker PTE reads). */
     void accessDram(Addr paddr, bool isWrite, Callback onDone);
 
-    /** Statistics, summed over the shared side and every SM slice. */
+    /** Statistics, summed over every L2 bank and SM slice. */
     Stats stats() const;
 
     /** Configuration. */
@@ -129,10 +105,8 @@ class CacheHierarchy
     ///@}
 
   private:
-    /** Cache-line aligned: adjacent banks may run on different hub
-     *  sub-lanes; the stats fields are this bank's slice, written only
-     *  by its owning lane and summed in stats(). */
-    struct alignas(64) L2Bank
+    /** One L2 bank; its counters are summed in stats(). */
+    struct L2Bank
     {
         std::unique_ptr<SetAssocCache> tags;
         MshrFile mshr;
@@ -144,9 +118,8 @@ class CacheHierarchy
         explicit L2Bank(std::size_t mshrs) : mshr(mshrs) {}
     };
 
-    /** SM-side counters, one slice per SM so concurrent lanes never
-     *  share a cache line; totals are summed on demand. */
-    struct alignas(64) SmStats
+    /** SM-side counters, one slice per SM, summed in stats(). */
+    struct SmStats
     {
         std::uint64_t l1Accesses = 0;
         std::uint64_t l1Hits = 0;
@@ -156,23 +129,9 @@ class CacheHierarchy
     std::uint64_t lineOf(Addr paddr) const { return paddr / kCacheLineSize; }
     unsigned bankOf(std::uint64_t line) const { return line % config_.l2Banks; }
 
-    /** Hub sub-lane owning @p bank (only meaningful with subs_ set). */
-    unsigned subOf(unsigned bank) const
-    {
-        return bank % subs_->subLaneCount();
-    }
-
-    /** Event queue bank @p bank's L2 pipeline runs on. */
-    EventQueue &bankQueue(unsigned bank)
-    {
-        return subs_ != nullptr ? subs_->subQueue(subOf(bank)) : events_;
-    }
-
     /**
      * Runs the L2 lookup for @p line and invokes @p onDone when the data
      * is available at the L2 (caller adds any interconnect latency).
-     * With sub-lanes attached this must execute on the bank's sub-lane;
-     * @p onDone then also runs there.
      */
     void accessL2Line(std::uint64_t line, bool isWrite, Callback onDone);
 
@@ -182,8 +141,6 @@ class CacheHierarchy
     EventQueue &events_;
     DramModel &dram_;
     CacheHierarchyConfig config_;
-    LaneRouter *router_;
-    HubSubLanes *subs_ = nullptr;
 
     std::vector<SetAssocCache> l1Tags_;
     std::vector<MshrFile> l1Mshrs_;

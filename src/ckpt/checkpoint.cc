@@ -50,7 +50,7 @@ writeFile(const std::string &path, const Header &header,
     w.u32(kFormatVersion);
     w.u64(header.fingerprint);
     w.u64(header.resumeCycle);
-    w.u8(header.sharded ? 1 : 0);
+    w.u8(0);  // engine byte: serial
     w.u64(payload.size());
 
     std::FILE *f = std::fopen(path.c_str(), "wb");
@@ -83,7 +83,7 @@ readFile(const std::string &path, std::uint64_t expectFingerprint,
     std::fclose(f);
 
     // Fixed header: magic(8) version(4) fingerprint(8) resume(8)
-    // sharded(1) payloadSize(8).
+    // engine(1) payloadSize(8).
     constexpr std::size_t kHeaderBytes = 8 + 4 + 8 + 8 + 1 + 8;
     if (file.size() < kHeaderBytes)
         return diag(path, "truncated file (want at least " +
@@ -117,11 +117,12 @@ readFile(const std::string &path, std::uint64_t expectFingerprint,
 
     header.fingerprint = r.u64();
     header.resumeCycle = r.u64();
-    const std::uint8_t sharded = r.u8();
-    if (sharded > 1)
-        return diag(path, "invalid value '" + std::to_string(sharded) +
-                              "' for engine mode (want 0 or 1)");
-    header.sharded = sharded != 0;
+    const std::uint8_t engine = r.u8();
+    if (engine == 1)
+        return diag(path, "image was captured by the removed sharded engine");
+    if (engine != 0)
+        return diag(path, "invalid value '" + std::to_string(engine) +
+                              "' for engine mode (want 0)");
 
     if (expectFingerprint != 0 && header.fingerprint != expectFingerprint)
         return diag(path,

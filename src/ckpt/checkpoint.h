@@ -9,7 +9,8 @@
  *   version    u32      kFormatVersion
  *   fingerprint u64     FNV-1a over the canonical config string
  *   resumeCycle u64     quiesce point R the payload was captured at
- *   sharded    u8       engine mode the image was captured under
+ *   engine     u8       always 0; 1 marked images of the removed
+ *                       sharded engine, which are rejected by name
  *   payloadSize u64     byte length of what follows
  *   payload    ...      component sections (runner-defined order)
  *
@@ -36,7 +37,6 @@ struct Header
 {
     std::uint64_t fingerprint = 0;
     std::uint64_t resumeCycle = 0;
-    bool sharded = false;
 };
 
 /** FNV-1a 64-bit hash (config fingerprints). */

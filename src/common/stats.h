@@ -123,7 +123,7 @@ class Histogram
 
     /**
      * Folds @p other into this histogram. Both must share width and
-     * bucket count. All state is integral, so merging per-shard slices
+     * bucket count. All state is integral, so merging per-channel slices
      * is exact and order-independent: the merged view is byte-identical
      * to a histogram that recorded every sample directly.
      */

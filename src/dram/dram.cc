@@ -1,7 +1,6 @@
 #include "dram/dram.h"
 
 #include <algorithm>
-#include <cassert>
 #include <limits>
 
 #include "common/log.h"
@@ -13,16 +12,11 @@ DramModel::DramModel(EventQueue &events, const DramConfig &config,
     : events_(events), config_(config), tracer_(tracer),
       channels_(config.channels)
 {
-    for (auto &channel : channels_) {
+    for (auto &channel : channels_)
         channel.banks.assign(config_.banksPerChannel, Bank{});
-        channel.lane = &events_;
-    }
     if (metrics != nullptr) {
-        // Counters are per-channel slices (each written only by its
-        // owning lane under the sharded engine); snapshots read the
-        // merged sums. Summing integers and merging integer-bucket
-        // histograms is exact, so serial snapshots are byte-identical
-        // to the pre-slice single-struct layout.
+        // Counters are per-channel slices; snapshots read the merged
+        // sums.
         const auto sum = [this](std::uint64_t ChannelStats::*field) {
             return [this, field] {
                 std::uint64_t total = 0;
@@ -54,20 +48,6 @@ DramModel::DramModel(EventQueue &events, const DramConfig &config,
             return mergedLatency().percentile(95);
         });
     }
-}
-
-void
-DramModel::attachSubLanes(HubSubLanes *subs)
-{
-    subs_ = subs;
-    if (subs_ == nullptr) {
-        for (auto &channel : channels_)
-            channel.lane = &events_;
-        return;
-    }
-    assert(subs_->subLaneCount() == channels_.size());
-    for (unsigned c = 0; c < channels_.size(); ++c)
-        channels_[c].lane = &subs_->subQueue(c);
 }
 
 Histogram
@@ -150,8 +130,7 @@ DramModel::channelOf(Addr addr) const
 }
 
 void
-DramModel::enqueue(const Decoded &d, bool isWrite, Cycles issued,
-                   std::int32_t origin, SimCallback onDone)
+DramModel::enqueue(const Decoded &d, bool isWrite, SimCallback onDone)
 {
     Channel &channel = channels_[d.channel];
     if (channel.freeSlots.empty()) {
@@ -162,8 +141,7 @@ DramModel::enqueue(const Decoded &d, bool isWrite, Cycles issued,
     const std::uint32_t slot = channel.freeSlots.back();
     channel.freeSlots.pop_back();
     Payload &p = channel.slab[slot];
-    p.issued = issued;
-    p.origin = origin;
+    p.issued = events_.now();
     p.onDone = std::move(onDone);
     channel.queue.push_back(ScanRecord{d.row, d.bank, slot});
     if (isWrite)
@@ -176,52 +154,15 @@ void
 DramModel::access(Addr addr, bool isWrite, SimCallback onDone)
 {
     const Decoded d = decode(addr);
-    if (subs_ == nullptr) {
-        // Serial / hub-only engine: the legacy inline path, byte-identical
-        // to the pre-sub-lane model.
-        enqueue(d, isWrite, events_.now(), kOriginControl,
-                std::move(onDone));
-        tryDispatch(d.channel);
-        return;
-    }
-    // Control phase: sub-lanes are parked, so mutating the channel queue
-    // is safe, but dispatch decisions belong to the owning sub-lane's
-    // clock — kick it at the current control cycle (the sub phase for
-    // this window has not run yet, so the kick lands in-window).
-    enqueue(d, isWrite, events_.now(), kOriginControl, std::move(onDone));
-    scheduleDispatch(d.channel, events_.now());
-}
-
-void
-DramModel::accessFromSub(unsigned srcSub, Addr addr, bool isWrite,
-                         SimCallback onDone)
-{
-    assert(subs_ != nullptr);
-    const Decoded d = decode(addr);
-    if (d.channel == srcSub) {
-        enqueue(d, isWrite, channels_[srcSub].lane->now(),
-                static_cast<std::int32_t>(srcSub), std::move(onDone));
-        tryDispatch(d.channel);
-        return;
-    }
-    // The channel lives on another sub-lane; hand the request over
-    // through the router. It arrives at the next window boundary and is
-    // stamped with its arrival cycle (bounded deterministic drift of at
-    // most one window — see hub_sublanes.h).
-    subs_->subToSub(
-        srcSub, d.channel, channels_[srcSub].lane->now(),
-        [this, d, isWrite, srcSub, fn = std::move(onDone)]() mutable {
-            enqueue(d, isWrite, channels_[d.channel].lane->now(),
-                    static_cast<std::int32_t>(srcSub), std::move(fn));
-            tryDispatch(d.channel);
-        });
+    enqueue(d, isWrite, std::move(onDone));
+    tryDispatch(d.channel);
 }
 
 void
 DramModel::scheduleDispatch(unsigned channelIdx, Cycles when)
 {
     Channel &channel = channels_[channelIdx];
-    when = std::max(when, channel.lane->now());
+    when = std::max(when, events_.now());
     // An equal-or-earlier retry already pending covers this request; a
     // *later* pending retry must not swallow an earlier one (it used to:
     // a bare "scheduled" flag dropped the earlier cycle and delayed the
@@ -231,7 +172,7 @@ DramModel::scheduleDispatch(unsigned channelIdx, Cycles when)
         return;
     channel.dispatchScheduled = true;
     channel.dispatchAt = when;
-    channel.lane->schedule(when, [this, channelIdx, when] {
+    events_.schedule(when, [this, channelIdx, when] {
         Channel &channel = channels_[channelIdx];
         if (!channel.dispatchScheduled || channel.dispatchAt != when)
             return;  // superseded by an earlier reschedule
@@ -241,31 +182,10 @@ DramModel::scheduleDispatch(unsigned channelIdx, Cycles when)
 }
 
 void
-DramModel::completeAt(unsigned channelIdx, Cycles done, std::int32_t origin,
-                      SimCallback fn)
-{
-    Channel &channel = channels_[channelIdx];
-    if (subs_ == nullptr ||
-        origin == static_cast<std::int32_t>(channelIdx)) {
-        // Serial engine, or the completion stays on the owning sub-lane.
-        channel.lane->schedule(done, std::move(fn));
-        return;
-    }
-    // Routed at dispatch time with when = done, which exceeds the window
-    // end for every shipped timing config, so the completion arrives on
-    // the issuer's lane timed-exact (see hub_sublanes.h).
-    if (origin == kOriginControl)
-        subs_->subToControl(channelIdx, done, std::move(fn));
-    else
-        subs_->subToSub(channelIdx, static_cast<unsigned>(origin), done,
-                        std::move(fn));
-}
-
-void
 DramModel::tryDispatch(unsigned channelIdx)
 {
     Channel &channel = channels_[channelIdx];
-    const Cycles now = channel.lane->now();
+    const Cycles now = events_.now();
 
     while (!channel.queue.empty()) {
         // FR-FCFS: among requests whose bank is ready, prefer the oldest
@@ -329,7 +249,7 @@ DramModel::tryDispatch(unsigned channelIdx)
         // The moved-from slot is left empty for the free list to reuse.
         Payload &p = channel.slab[req.slot];
         channel.stats.latency.record(done - p.issued);
-        completeAt(channelIdx, done, p.origin, std::move(p.onDone));
+        events_.schedule(done, std::move(p.onDone));
         channel.freeSlots.push_back(req.slot);
     }
 }

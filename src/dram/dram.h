@@ -9,14 +9,6 @@
  * implements page-granularity bulk copy, both through the normal data bus
  * (64 bits at a time) and via in-DRAM mechanisms (RowClone/LISA) used by
  * Mosaic's CAC-BC compaction variant.
- *
- * Under the sharded engine the channels are *independently runnable*:
- * attachSubLanes() points each channel at its hub sub-lane's event queue
- * (DESIGN.md §12), and all per-channel state — queue, banks, bus, stats
- * slice — is then touched only by that sub-lane (or by the control phase,
- * which never runs concurrently with sub phases). Serially, every channel
- * points at the one shared queue and behavior is byte-identical to the
- * pre-sub-lane model.
  */
 
 #ifndef MOSAIC_DRAM_DRAM_H
@@ -30,7 +22,6 @@
 #include "common/stats_registry.h"
 #include "common/types.h"
 #include "engine/event_queue.h"
-#include "engine/hub_sublanes.h"
 #include "trace/tracer.h"
 
 namespace mosaic {
@@ -74,14 +65,11 @@ struct DramConfig
  * The DRAM subsystem: all channels, banks, and the FR-FCFS scheduler.
  *
  * Accesses are line-granularity (kCacheLineSize). Completion callbacks run
- * on the issuer's event queue when the access finishes.
+ * on the event queue when the access finishes.
  */
 class DramModel
 {
   public:
-    /** Completion origin tag for control-lane (or serial) issuers. */
-    static constexpr std::int32_t kOriginControl = -1;
-
     /** Aggregate DRAM statistics (merged over all channels). */
     struct Stats
     {
@@ -103,33 +91,11 @@ class DramModel
     DramModel(EventQueue &events, const DramConfig &config,
               StatsRegistry *metrics = nullptr, Tracer *tracer = nullptr);
 
-    /**
-     * Attaches the hub sub-lane router: channel c's queue, banks, bus,
-     * and stats slice become sub-lane c's property. Must be called
-     * before the first access, with subLaneCount() == channels.
-     */
-    void attachSubLanes(HubSubLanes *subs);
-
-    /**
-     * Issues a line access to @p addr from the control (or serial)
-     * lane; @p onDone runs back on that lane at completion.
-     */
+    /** Issues a line access to @p addr; @p onDone runs at completion. */
     void access(Addr addr, bool isWrite, SimCallback onDone);
 
     /**
-     * Issues a line access from hub sub-lane @p srcSub (an L2 cache
-     * bank); @p onDone runs back on @p srcSub at completion. Accesses
-     * whose channel lives on another sub-lane are handed over through
-     * the router and arrive at the next window boundary.
-     */
-    void accessFromSub(unsigned srcSub, Addr addr, bool isWrite,
-                       SimCallback onDone);
-
-    /**
-     * Copies one base page from @p src to @p dst. Control-lane only:
-     * a cross-channel copy occupies *both* channels' buses, which no
-     * single sub-lane may touch alone; the control phase never runs
-     * concurrently with sub phases, so it can.
+     * Copies one base page from @p src to @p dst.
      *
      * With @p inDramCopy the copy uses RowClone/LISA-style in-DRAM
      * operations (fast, fixed latency). Otherwise the copy streams through
@@ -179,7 +145,7 @@ class DramModel
         Cycles readyAt = 0;
     };
 
-    /** Counters written only by the channel's owning lane. */
+    /** Per-channel counters, summed on demand. */
     struct ChannelStats
     {
         std::uint64_t reads = 0;
@@ -207,14 +173,10 @@ class DramModel
     struct Payload
     {
         Cycles issued = 0;
-        /** Lane the completion callback must run on: kOriginControl for
-         *  the control/serial lane, else the issuing sub-lane's index. */
-        std::int32_t origin = kOriginControl;
         SimCallback onDone;
     };
 
-    /** Cache-line aligned: adjacent channels run on different threads. */
-    struct alignas(64) Channel
+    struct Channel
     {
         std::vector<Bank> banks;
         /** Queued requests in arrival order (DESIGN.md §11). */
@@ -229,9 +191,6 @@ class DramModel
          *  request reschedule instead of being dropped. */
         bool dispatchScheduled = false;
         Cycles dispatchAt = 0;
-        /** The lane this channel runs on: the shared/serial queue, or
-         *  sub-lane channelIdx's queue once attachSubLanes() ran. */
-        EventQueue *lane = nullptr;
         ChannelStats stats;
     };
 
@@ -243,20 +202,15 @@ class DramModel
     };
 
     Decoded decode(Addr addr) const;
-    void enqueue(const Decoded &d, bool isWrite, Cycles issued,
-                 std::int32_t origin, SimCallback onDone);
+    void enqueue(const Decoded &d, bool isWrite, SimCallback onDone);
     void tryDispatch(unsigned channelIdx);
     void scheduleDispatch(unsigned channelIdx, Cycles when);
-    void completeAt(unsigned channelIdx, Cycles done, std::int32_t origin,
-                    SimCallback fn);
     Histogram mergedLatency() const;
 
     EventQueue &events_;
     DramConfig config_;
     Tracer *tracer_;
-    HubSubLanes *subs_ = nullptr;
     std::vector<Channel> channels_;
-    /** Bulk copies are control-lane only; their counters need no slices. */
     std::uint64_t bulkCopies_ = 0;
     std::uint64_t bulkCopyCycles_ = 0;
 };

@@ -65,8 +65,7 @@ class EventQueue
 
     /**
      * Timestamp of the earliest pending event, or kNoEvent when empty.
-     * The sharded engine's epoch scheduler uses this to skip windows in
-     * which no lane has work (long PCIe transfers, DRAM stalls).
+     * The runner's checkpoint trigger peeks at it before each dispatch.
      */
     Cycles
     nextEventAt() const

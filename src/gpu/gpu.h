@@ -53,23 +53,18 @@ class Gpu
         }
     }
 
-    /**
-     * Creates an SM bound to @p pageTable; returns its id. Under the
-     * sharded engine @p laneQueue is the SM's private lane queue; null
-     * (the default) puts the SM on the shared serial queue.
-     */
+    /** Creates an SM bound to @p pageTable; returns its id. */
     SmId
     createSm(PageTable &pageTable, TranslationService &translation,
              CacheHierarchy &caches, DemandPager *pager,
-             std::function<void()> onAllWarpsDone,
-             EventQueue *laneQueue = nullptr)
+             std::function<void()> onAllWarpsDone)
     {
         const auto id = static_cast<SmId>(sms_.size());
         MOSAIC_ASSERT(id < config_.numSms, "too many SMs created");
-        sms_.push_back(std::make_unique<Sm>(
-            laneQueue != nullptr ? *laneQueue : events_, id, pageTable,
-            translation, caches, pager, config_.sm,
-            std::move(onAllWarpsDone)));
+        sms_.push_back(std::make_unique<Sm>(events_, id, pageTable,
+                                            translation, caches, pager,
+                                            config_.sm,
+                                            std::move(onAllWarpsDone)));
         return id;
     }
 

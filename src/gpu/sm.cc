@@ -218,7 +218,7 @@ Sm::translatePage(unsigned warpIdx, Addr pageVa, unsigned retries,
         MOSAIC_ASSERT(retries < config_.maxFaultRetries,
                       "fault retry limit hit; allocator cannot back page");
         ++stats_.farFaultStalls;
-        pager_->handleFarFault(id_, pageTable_, pageVa,
+        pager_->handleFarFault(pageTable_, pageVa,
                                [this, warpIdx, pageVa, retries,
                                 cb = std::move(cb)]() mutable {
             translatePage(warpIdx, pageVa, retries + 1, std::move(cb));

@@ -23,7 +23,6 @@
 #include "common/stats_registry.h"
 #include "common/types.h"
 #include "engine/event_queue.h"
-#include "engine/lane_router.h"
 #include "iobus/pcie.h"
 #include "mm/memory_manager.h"
 #include "trace/tracer.h"
@@ -71,16 +70,12 @@ class DemandPager
      *                "iobus.paging.*" at construction (DESIGN.md §8).
      * @param tracer when non-null, each distinct far-fault records a
      *               span from fault to page-resident.
-     * @param router when non-null, the pager runs under the sharded
-     *               engine: the fault machinery (MSHR, PCIe bus, memory
-     *               manager) is hub-side, so SM-raised faults cross
-     *               lanes through the router and resolutions cross back.
      */
     DemandPager(EventQueue &events, PcieBus &bus, MemoryManager &manager,
                 StatsRegistry *metrics = nullptr, Tracer *tracer = nullptr,
-                const PagerConfig &config = {}, LaneRouter *router = nullptr)
+                const PagerConfig &config = {})
         : events_(events), bus_(bus), manager_(manager), tracer_(tracer),
-          config_(config), router_(router)
+          config_(config)
     {
         if (metrics != nullptr) {
             metrics->bindCounter("iobus.paging.farFaults", stats_.farFaults);
@@ -97,31 +92,8 @@ class DemandPager
     }
 
     /**
-     * Handles a far-fault raised by @p sm on @p va in @p pageTable's
-     * address space. @p onResolved runs once the page is resident and
-     * mapped -- back on @p sm's lane under the sharded engine.
-     */
-    void
-    handleFarFault(SmId sm, PageTable &pageTable, Addr va,
-                   Callback onResolved)
-    {
-        if (router_ == nullptr) {
-            handleFarFault(pageTable, va, std::move(onResolved));
-            return;
-        }
-        // Hop to the hub (fault machinery is hub-side); wrap the
-        // resolution so the warp wakeup hops back to the SM's lane.
-        router_->callHub(sm, [this, &pageTable, va, sm,
-                              cb = std::move(onResolved)] {
-            handleFarFault(pageTable, va, [this, sm, cb] {
-                router_->callSm(sm, [cb] { cb(); });
-            });
-        });
-    }
-
-    /**
-     * Serial-engine far-fault entry (also the hub-side body of the
-     * routed overload above). Runs on the shared/hub queue.
+     * Handles a far-fault on @p va in @p pageTable's address space.
+     * @p onResolved runs once the page is resident and mapped.
      */
     void
     handleFarFault(PageTable &pageTable, Addr va, Callback onResolved)
@@ -282,7 +254,6 @@ class DemandPager
     MemoryManager &manager_;
     Tracer *tracer_;
     PagerConfig config_;
-    LaneRouter *router_ = nullptr;
     MshrFile faults_;
     Stats stats_;
 };

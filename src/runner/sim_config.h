@@ -97,14 +97,9 @@ struct SimConfig
     Cycles maxCycles = 4'000'000'000ull;
 
     /**
-     * Sharded engine worker count (DESIGN.md §12). 0 (default) runs the
-     * classic serial engine. Any value >= 1 runs the epoch-synchronized
-     * sharded engine: one event-queue lane per SM plus a hub lane for
-     * shared components, executed by this many worker threads. Results
-     * are byte-identical for every value >= 1 (the lane structure is
-     * fixed; workers only change wall-clock time), so determinism tests
-     * compare N=1 against N in {2,4,8}. Overridable at runtime with
-     * MOSAIC_SIM_SHARDS and `mosaic_sim --shards`.
+     * Placeholder left by the removed sharded engine (DESIGN.md §12):
+     * must be 0, and runSimulation() rejects any other value. Kept only
+     * because ledger/ledger_main.cc still assigns it.
      */
     unsigned engineShards = 0;
 
@@ -208,15 +203,6 @@ struct SimConfig
     {
         SimConfig c = *this;
         c.metricsSamplePeriod = cycles;
-        return c;
-    }
-
-    /** Runs the sharded engine with @p n worker threads (0 = serial). */
-    SimConfig
-    withEngineShards(unsigned n) const
-    {
-        SimConfig c = *this;
-        c.engineShards = n;
         return c;
     }
 

@@ -3,25 +3,20 @@
 #include <algorithm>
 #include <array>
 #include <cstdio>
-#include <cstdlib>
 #include <map>
 #include <memory>
 #include <mutex>
-#include <thread>
 #include <utility>
 
 #include "cache/hierarchy.h"
 #include "check/invariant_checker.h"
 #include "ckpt/checkpoint.h"
 #include "ckpt/serde.h"
-#include "common/parse_num.h"
 #include "engine/event_queue.h"
-#include "engine/sharded_engine.h"
 #include "iobus/demand_paging.h"
 #include "mm/gpu_mmu_manager.h"
 #include "mm/large_only_manager.h"
 #include "mm/mosaic_manager.h"
-#include "runner/sweep.h"
 #include "trace/tracer.h"
 #include "workload/access_pattern.h"
 #include "workload/metrics.h"
@@ -45,47 +40,6 @@ struct AppCtx
     /** Bump pointer for fresh virtual regions under allocation churn. */
     Addr nextChurnVa = 0;
 };
-
-/**
- * Effective sharded-engine worker count: the config field wins; the
- * MOSAIC_SIM_SHARDS environment variable is the no-recompile override
- * for configs that leave it at 0. 0 = classic serial engine.
- *
- * Core-budget sharing: when a SweepRunner pool is fanning simulations
- * out in parallel, the requested worker count is clamped so that
- * sweep jobs x engine shards stays within the machine. Precedence is
- * sweep-first (independent simulations scale better than shard
- * workers), and the clamp floors at 1 so a sharded config never
- * degrades to the serial engine -- worker count only changes
- * wall-clock time, never results, so clamping is determinism-safe.
- */
-unsigned
-resolveEngineShards(const SimConfig &config)
-{
-    unsigned n = config.engineShards;
-    if (n == 0) {
-        if (const char *env = std::getenv("MOSAIC_SIM_SHARDS")) {
-            std::uint64_t parsed = 0;
-            if (parseU64(env, &parsed) && parsed <= 256) {
-                n = static_cast<unsigned>(parsed);
-            } else if (*env != '\0') {
-                // atoi used to turn garbage into a silent 0 here; say so
-                // once instead, and keep the serial engine.
-                std::fprintf(stderr,
-                             "MOSAIC_SIM_SHARDS: invalid value '%s' "
-                             "(want an integer in [0, 256]); ignored\n",
-                             env);
-            }
-        }
-    }
-    const unsigned sweep_threads = activeSweepThreads();
-    if (n > 1 && sweep_threads > 1) {
-        const unsigned hw =
-            std::max(1u, std::thread::hardware_concurrency());
-        n = std::max(1u, std::min(n, hw / sweep_threads));
-    }
-    return n;
-}
 
 std::unique_ptr<MemoryManager>
 makeManager(const SimConfig &config, Addr poolBase, std::uint64_t poolBytes)
@@ -203,17 +157,14 @@ constexpr std::uint32_t kSecRunner = 0x524E5231;  // "RNR1"
 /**
  * FNV-1a fingerprint of the *simulated system*: every knob that
  * changes which events run (manager kind, component geometry, workload
- * parameters, seed, engine family) feeds a canonical string.
- * Presentation and observation knobs -- the label, trace sinks,
- * invariant checks, the checkpoint schedule itself, and the sharded
- * worker count N (which never changes results) -- are excluded, so a
- * restore config may differ in those and still match. trace.enabled is
- * *included*: serial counter ticks shift event sequence numbers, which
- * are checkpointed state.
+ * parameters, seed) feeds a canonical string. Presentation and
+ * observation knobs -- the label, trace sinks, invariant checks, the
+ * checkpoint schedule itself -- are excluded, so a restore config may
+ * differ in those and still match. trace.enabled is *included*: counter
+ * ticks shift event sequence numbers, which are checkpointed state.
  */
 std::uint64_t
-configFingerprint(const Workload &workload, const SimConfig &config,
-                  bool sharded)
+configFingerprint(const Workload &workload, const SimConfig &config)
 {
     std::string s;
     const auto num = [&s](std::uint64_t v) {
@@ -305,7 +256,9 @@ configFingerprint(const Workload &workload, const SimConfig &config,
     num(config.maxCycles);
     num(config.metricsSamplePeriod);
     num(config.trace.enabled);
-    num(sharded);
+    // The engine-family slot (the removed sharded engine hashed true):
+    // kept so existing images keep their fingerprints.
+    num(false);
     num(workload.apps.size());
     for (const AppParams &app : workload.apps) {
         text(app.name);
@@ -331,16 +284,15 @@ configFingerprint(const Workload &workload, const SimConfig &config,
 SimResult
 runSimulation(const Workload &workload, const SimConfig &config)
 {
+    if (config.engineShards != 0) {
+        MOSAIC_FATAL("engineShards = " +
+                     std::to_string(config.engineShards) +
+                     ": the sharded engine was removed; leave it at 0");
+    }
     // The registry outlives every component (declared first) so the
     // components can bind their counters into it at construction; it is
     // private to this simulation per the DESIGN.md §7 contract.
     StatsRegistry registry;
-    // Optional event tracer, private to this simulation like the
-    // registry (shared_ptr only so SimResult can carry it out). Serial
-    // runs get one ring; sharded runs get one ring per lane (hub +
-    // per-SM), merged deterministically at export. Hub-side components
-    // take a plain `Tracer *` into the hub ring; null means no tracing.
-    const unsigned shards = resolveEngineShards(config);
 
     // Checkpoint restore (DESIGN.md §14): read and validate the image
     // up front -- before any component exists -- so a bad file fails
@@ -350,73 +302,36 @@ runSimulation(const Workload &workload, const SimConfig &config)
     std::vector<std::uint8_t> restore_payload;
     if (restoring) {
         const std::string err = ckpt::readFile(
-            config.ckpt.restorePath,
-            configFingerprint(workload, config, shards > 0),
+            config.ckpt.restorePath, configFingerprint(workload, config),
             restore_header, restore_payload);
         if (!err.empty())
-            MOSAIC_PANIC(err);
-        if (restore_header.sharded != (shards > 0)) {
-            MOSAIC_PANIC("checkpoint " + config.ckpt.restorePath +
-                         ": engine mode mismatch (image is " +
-                         (restore_header.sharded ? "sharded" : "serial") +
-                         ", config is " +
-                         (shards > 0 ? "sharded" : "serial") + ")");
-        }
+            MOSAIC_FATAL(err);
     }
 
-    std::shared_ptr<TraceMux> tracer;
+    // Optional event tracer, private to this simulation like the
+    // registry (shared_ptr only so SimResult can carry it out).
+    // Components take a plain `Tracer *`; null means no tracing.
+    std::shared_ptr<Tracer> tracer;
     if (config.trace.enabled)
-        tracer = std::make_shared<TraceMux>(
-            config.trace, shards > 0 ? config.gpu.numSms : 0,
-            shards > 0 ? config.dram.channels : 0);
-    Tracer *const tr = tracer != nullptr ? tracer->hub() : nullptr;
+        tracer = std::make_shared<Tracer>(config.trace);
+    Tracer *const tr = tracer.get();
 
-    // Engine selection (DESIGN.md §12): shards == 0 runs the classic
-    // single-queue serial engine, byte-identical to every release before
-    // sharding existed. shards >= 1 runs the epoch-synchronized sharded
-    // engine -- one lane per SM, one hub sub-lane per DRAM channel
-    // (ROADMAP 6(b)), and a control lane for the remaining shared
-    // components -- whose results are byte-identical across worker
-    // counts (the lane structure is fixed; N only changes wall-clock
-    // time).
-    std::unique_ptr<ShardedEngine> engine;
-    if (shards > 0) {
-        engine = std::make_unique<ShardedEngine>(config.gpu.numSms, shards);
-        engine->enableHubSubLanes(config.dram.channels);
-        // The self-profiler (DESIGN.md §12): engine.shard.* metrics are
-        // pure simulation figures, so snapshots stay N-independent.
-        engine->registerMetrics(registry);
-        engine->setTrace(tracer.get());
-    }
-    LaneRouter *const router = engine.get();
-    EventQueue serial_events;
-    EventQueue &events = engine != nullptr ? engine->hubQueue()
-                                           : serial_events;
+    EventQueue events;
     // Capacity hint: roughly one in-flight event per warp plus headroom
     // for walks, DRAM transactions, and paging transfers. Avoids the
     // heap's doubling reallocations during warm-up.
     events.reserve(static_cast<std::size_t>(config.gpu.numSms) *
                        config.gpu.sm.warpsPerSm * 2 +
                    1024);
-    if (engine != nullptr) {
-        for (unsigned i = 0; i < config.gpu.numSms; ++i)
-            engine->laneQueue(static_cast<SmId>(i))
-                .reserve(config.gpu.sm.warpsPerSm * 2 + 64);
-    }
     DramModel dram(events, config.dram, &registry, tr);
-    if (engine != nullptr)
-        dram.attachSubLanes(engine.get());
 
     CacheHierarchyConfig cache_cfg = config.caches;
     cache_cfg.numSms = config.gpu.numSms;
-    CacheHierarchy caches(events, dram, cache_cfg, &registry, router);
-    if (engine != nullptr)
-        caches.attachSubLanes(engine.get());
+    CacheHierarchy caches(events, dram, cache_cfg, &registry);
 
     PageTableWalker walker(events, caches, config.walker, &registry, tr);
     TranslationService translation(events, walker, config.gpu.numSms,
-                                   config.translation, &registry, tr,
-                                   router, tracer.get());
+                                   config.translation, &registry, tr);
     PcieBus pcie(events, config.pcie, &registry, tr);
 
     // Physical layout: frames from address 0; page-table nodes in a
@@ -487,9 +402,8 @@ runSimulation(const Workload &workload, const SimConfig &config)
         if (checker != nullptr)
             checker->observePageTable(*ctx->pageTable);
         manager->registerApp(static_cast<AppId>(i), *ctx->pageTable);
-        // Pre-register the address space with the translation service so
-        // nothing grows per-app containers from concurrent SM lanes (a
-        // no-op for behavior in serial mode).
+        // Sizes every per-SM stat slice for this app up front, which is
+        // the layout checkpoint images record.
         translation.registerApp(static_cast<AppId>(i), *ctx->pageTable);
         apps.push_back(std::move(ctx));
     }
@@ -503,18 +417,16 @@ runSimulation(const Workload &workload, const SimConfig &config)
         }
     }
 
-    DemandPager pager(events, pcie, *manager, &registry, tr, {}, router);
+    DemandPager pager(events, pcie, *manager, &registry, tr);
 
     // Carve the SMs into equal per-application partitions and populate
     // each SM with this application's warps.
     const auto shares = Gpu::partitionSms(
         config.gpu.numSms, static_cast<unsigned>(apps.size()));
     bool all_finished = false;
-    // Simulated time at which the last application finished. In serial
-    // mode the event loop stops on the finishing event, so this equals
-    // events.now() at loop exit; in sharded mode the engine runs out the
-    // rest of the window (harmlessly -- finished apps generate no
-    // traffic), so the harvest must use this instead of queue time.
+    // Simulated time at which the last application finished (the event
+    // loop stops on the finishing event, so this is events.now() at
+    // loop exit; restored runs carry it in the image).
     Cycles end_cycle = 0;
     std::uint64_t peak_allocated = 0;
     std::uint64_t peak_holes = 0;
@@ -551,24 +463,9 @@ runSimulation(const Workload &workload, const SimConfig &config)
                     end_cycle = events.now();
                 }
             };
-            // The completion bookkeeping releases regions through the
-            // manager (hub state), so a sharded run routes it to the
-            // hub lane; serially it runs inline as before.
-            std::function<void()> on_done;
-            if (router != nullptr) {
-                const auto src = static_cast<SmId>(gpu.numSms());
-                on_done = [router, src, finish] {
-                    router->callHub(src, [finish] { finish(); });
-                };
-            } else {
-                on_done = finish;
-            }
             const SmId sm_id = gpu.createSm(
                 *app.pageTable, translation, caches,
-                config.demandPaging ? &pager : nullptr, std::move(on_done),
-                engine != nullptr
-                    ? &engine->laneQueue(static_cast<SmId>(gpu.numSms()))
-                    : nullptr);
+                config.demandPaging ? &pager : nullptr, std::move(finish));
             app.sms.push_back(sm_id);
 
             for (unsigned w = 0; w < warps_per_sm; ++w) {
@@ -617,21 +514,11 @@ runSimulation(const Workload &workload, const SimConfig &config)
                 pager.prefetchRegion(
                     *ctx->pageTable, buf.va, buf.bytes,
                     config.chargePrefetchBus,
-                    [app_ptr, &gpu, &events, router] {
+                    [app_ptr, &gpu, &events] {
                         if (--app_ptr->prefetchesPending > 0)
                             return;
-                        // Prefetch completion is hub-side; SM starts
-                        // must land on each SM's own lane.
-                        for (const SmId sm : app_ptr->sms) {
-                            if (router != nullptr) {
-                                router->callSm(sm, [&gpu, sm, router] {
-                                    gpu.sm(sm).start(
-                                        router->laneQueue(sm).now());
-                                });
-                            } else {
-                                gpu.sm(sm).start(events.now());
-                            }
-                        }
+                        for (const SmId sm : app_ptr->sms)
+                            gpu.sm(sm).start(events.now());
                     });
             }
         }
@@ -754,17 +641,9 @@ runSimulation(const Workload &workload, const SimConfig &config)
     // metrics sampler above -- the tick events shift insertion sequence
     // numbers of later events but never their relative order, and the
     // callback only reads, so the simulated outcome is unchanged.
-    // Sharded runs sample at the engine's epoch barrier instead: a tick
-    // event on the hub queue would show up in the self-profiler's
-    // hub-queue figures, breaking the on/off byte-equality of
-    // engine.shard.* metrics.
     std::function<void()> trace_counter_tick;
-    if (engine != nullptr && tr != nullptr && tr->on(kTraceCounter)) {
-        engine->setEpochSampleHook([tr, &registry](Cycles now) {
-            sampleCounterTracks(*tr, registry, now);
-        });
-    } else if (tr != nullptr && tr->on(kTraceCounter) &&
-               config.trace.counterPeriodCycles > 0) {
+    if (tr != nullptr && tr->on(kTraceCounter) &&
+        config.trace.counterPeriodCycles > 0) {
         trace_counter_tick = [tr, &registry, &events, &all_finished,
                               &config, &quiescing, &trace_counter_tick] {
             if (quiescing)
@@ -786,8 +665,7 @@ runSimulation(const Workload &workload, const SimConfig &config)
     }
 
     // --- Checkpoint/restore machinery (DESIGN.md §14) -------------------
-    const std::uint64_t fingerprint =
-        configFingerprint(workload, config, shards > 0);
+    const std::uint64_t fingerprint = configFingerprint(workload, config);
 
     // Serializes every component in canonical section order. Only ever
     // called at a quiesce point: SMs paused, every queue drained (each
@@ -797,15 +675,11 @@ runSimulation(const Workload &workload, const SimConfig &config)
     // them through the same rearm() call instead.
     const auto save_all = [&](ckpt::Writer &w) {
         w.section(kSecEngine);
-        w.boolean(engine != nullptr);
-        if (engine != nullptr) {
-            engine->saveState(w);
-        } else {
-            const EventQueue::Clock c = events.saveClock();
-            w.u64(c.now);
-            w.u64(c.nextSeq);
-            w.u64(c.executed);
-        }
+        w.boolean(false);  // engine family: serial (format slot)
+        const EventQueue::Clock c = events.saveClock();
+        w.u64(c.now);
+        w.u64(c.nextSeq);
+        w.u64(c.executed);
         w.section(kSecVm);
         pt_alloc.saveState(w);
         w.u64(apps.size());
@@ -850,21 +724,16 @@ runSimulation(const Workload &workload, const SimConfig &config)
 
     const auto load_all = [&](ckpt::Reader &r) {
         r.section(kSecEngine, "engine");
-        const bool image_sharded = r.boolean();
-        if (r.ok() && image_sharded != (engine != nullptr)) {
-            r.fail("engine mode mismatch");
+        if (r.boolean() && r.ok()) {
+            r.fail("image was captured by the removed sharded engine");
             return;
         }
-        if (engine != nullptr) {
-            engine->loadState(r);
-        } else {
-            EventQueue::Clock c;
-            c.now = r.u64();
-            c.nextSeq = r.u64();
-            c.executed = r.u64();
-            if (r.ok())
-                events.restoreClock(c);
-        }
+        EventQueue::Clock c;
+        c.now = r.u64();
+        c.nextSeq = r.u64();
+        c.executed = r.u64();
+        if (r.ok())
+            events.restoreClock(c);
         r.section(kSecVm, "page tables");
         pt_alloc.loadState(r);
         const std::uint64_t n_apps = r.u64();
@@ -937,10 +806,9 @@ runSimulation(const Workload &workload, const SimConfig &config)
         ckpt::Header h;
         h.fingerprint = fingerprint;
         h.resumeCycle = R;
-        h.sharded = engine != nullptr;
         const std::string err = ckpt::writeFile(path, h, w.buffer());
         if (!err.empty())
-            MOSAIC_PANIC(err);
+            MOSAIC_FATAL(err);
     };
 
     // Every scheduled checkpoint whose trigger is at-or-before the
@@ -978,18 +846,18 @@ runSimulation(const Workload &workload, const SimConfig &config)
         }
     };
 
-    // Serial checkpoint trigger: checked before each event dispatch. At
+    // Checkpoint trigger: checked before each event dispatch. At
     // the first moment the next pending event is at-or-after the
     // trigger cycle, pause SM issue and drain the queue (gated ticks
     // fire but do no work), then save at R = the drained clock.
-    const auto serial_ckpt_due = [&] {
+    const auto ckpt_due = [&] {
         // An empty queue never triggers: that is either the natural end
         // of the run or a deadlock, and both have their own reporting.
         return next_ckpt < ckpt_schedule.size() &&
                events.nextEventAt() != EventQueue::kNoEvent &&
                events.nextEventAt() >= ckpt_schedule[next_ckpt].first;
     };
-    const auto serial_quiesce = [&] {
+    const auto quiesce = [&] {
         gpu.pauseAll();
         quiescing = true;
         while (events.runOne()) {
@@ -1006,7 +874,7 @@ runSimulation(const Workload &workload, const SimConfig &config)
         if (r.ok() && !r.atEnd())
             r.fail("trailing bytes after payload");
         if (!r.ok())
-            MOSAIC_PANIC("checkpoint " + config.ckpt.restorePath + ": " +
+            MOSAIC_FATAL("checkpoint " + config.ckpt.restorePath + ": " +
                          r.error());
         // The audited-violation expectation rides in the manager's
         // serialized stats; reseed the checker to match.
@@ -1018,55 +886,15 @@ runSimulation(const Workload &workload, const SimConfig &config)
         rearm(restore_header.resumeCycle);
     }
 
-    if (engine != nullptr) {
-        // Epoch barrier hooks, in order: replay SM-lane checker
-        // notifications (so the shadow sees fills before any sweep),
-        // then a periodic full invariant sweep at epoch boundaries.
-        engine->addBarrierHook(
-            [&translation] { translation.flushDeferredCheckHooks(); });
-        if (checker != nullptr) {
-            engine->addBarrierHook([eng = engine.get(),
-                                    chk = checker.get()] {
-                if (eng->epochs() % 4096 == 0)
-                    chk->verifyAll();
-            });
-        }
-        // Checkpoint trigger: at the first epoch barrier at-or-after a
-        // scheduled cycle, pause SM issue and let the engine drain --
-        // run() exits when no events remain anywhere, and that drained
-        // window start is the quiesce point R (a pure function of
-        // queue state, hence the same cycle for every worker count).
-        if (!ckpt_schedule.empty()) {
-            engine->addBarrierHook([&] {
-                if (!quiescing && next_ckpt < ckpt_schedule.size() &&
-                    engine->windowStart() >=
-                        ckpt_schedule[next_ckpt].first) {
-                    quiescing = true;
-                    gpu.pauseAll();
-                }
-            });
-        }
-        for (;;) {
-            engine->run(config.maxCycles,
-                        [&all_finished] { return all_finished; });
-            if (!quiescing)
-                break;
-            const Cycles R = engine->windowStart();
-            save_due_checkpoints(R);
-            quiescing = false;
-            rearm(R);
-        }
-        if (!all_finished && engine->windowStart() < config.maxCycles)
-            MOSAIC_PANIC("simulation deadlocked: no events pending");
-    } else if (tr != nullptr && tr->on(kTraceEngine) &&
-               config.trace.engineSampleEvery > 0) {
+    if (tr != nullptr && tr->on(kTraceEngine) &&
+        config.trace.engineSampleEvery > 0) {
         // Sampled engine-dispatch instants: one marker every N executed
         // events keeps the ring from flooding at full dispatch rate.
         const std::uint64_t every = config.trace.engineSampleEvery;
         std::uint64_t executed = 0;
         while (!all_finished && events.now() < config.maxCycles) {
-            if (serial_ckpt_due()) {
-                serial_quiesce();
+            if (ckpt_due()) {
+                quiesce();
                 continue;
             }
             if (!events.runOne())
@@ -1080,8 +908,8 @@ runSimulation(const Workload &workload, const SimConfig &config)
         }
     } else {
         while (!all_finished && events.now() < config.maxCycles) {
-            if (serial_ckpt_due()) {
-                serial_quiesce();
+            if (ckpt_due()) {
+                quiesce();
                 continue;
             }
             if (!events.runOne())
@@ -1113,8 +941,7 @@ runSimulation(const Workload &workload, const SimConfig &config)
     SimResult result;
     result.configLabel = config.label;
     result.workloadName = workload.name;
-    // Harvest at the instant the last app finished (== events.now() at
-    // serial loop exit; see end_cycle above for the sharded case).
+    // Harvest at the instant the last app finished.
     const Cycles snap_now = all_finished ? end_cycle : events.now();
     result.totalCycles = snap_now;
     for (auto &ctx : apps) {
@@ -1138,8 +965,6 @@ runSimulation(const Workload &workload, const SimConfig &config)
     result.metrics = registry.snapshot(snap_now);
     result.metricsSamples = std::move(samples);
     result.trace = std::move(tracer);
-    if (engine != nullptr)
-        result.engineShard = engine->profile();
     deriveLegacyScalars(result);
     return result;
 }
@@ -1170,8 +995,7 @@ aloneIpcs(const Workload &workload, const SimConfig &sharedConfig)
             std::to_string(app.workingSetBytes()) + "#w" +
             std::to_string(sharedConfig.gpu.sm.warpsPerSm) + "#io" +
             std::to_string(sharedConfig.pcie.bytesPerCycle) + "#p" +
-            std::to_string(sharedConfig.demandPaging ? 1 : 0) + "#sh" +
-            std::to_string(resolveEngineShards(sharedConfig) > 0 ? 1 : 0);
+            std::to_string(sharedConfig.demandPaging ? 1 : 0);
         {
             std::lock_guard<std::mutex> lock(cache_mutex);
             const auto it = cache.find(key);
@@ -1194,11 +1018,6 @@ aloneIpcs(const Workload &workload, const SimConfig &sharedConfig)
         alone_cfg.demandPaging = sharedConfig.demandPaging;
         alone_cfg.chargePrefetchBus = sharedConfig.chargePrefetchBus;
         alone_cfg.seed = sharedConfig.seed;
-        // The denominator must use the same engine (serial vs sharded)
-        // as the shared run: the sharded engine's bounded completion
-        // drift makes it a distinct timing model, and the memo key
-        // above separates the two populations accordingly.
-        alone_cfg.engineShards = sharedConfig.engineShards;
         Workload alone_wl;
         alone_wl.name = app.name + "-alone";
         alone_wl.apps.push_back(app);

@@ -11,9 +11,7 @@
 #include <vector>
 
 #include "common/stats_registry.h"
-#include "engine/engine_profile.h"
 #include "runner/sim_config.h"
-#include "trace/trace_mux.h"
 #include "trace/tracer.h"
 #include "workload/workload.h"
 
@@ -56,17 +54,9 @@ struct SimResult
     /**
      * The run's event trace (SimConfig::trace.enabled only; otherwise
      * null). Shared so results stay cheaply copyable; export with
-     * trace/trace_export.h. Serial runs hold one ring; sharded runs
-     * hold one ring per lane, merged deterministically at export.
+     * trace/trace_export.h.
      */
-    std::shared_ptr<TraceMux> trace;
-
-    /**
-     * The sharded engine's self-profile (engineShards > 0 only;
-     * default-initialized zeros otherwise). Wall-clock figures in here
-     * are host-dependent and deliberately excluded from `metrics`.
-     */
-    EngineShardProfile engineShard;
+    std::shared_ptr<Tracer> trace;
 
     double l1TlbHitRate = 0.0;
     double l2TlbHitRate = 0.0;

@@ -1,6 +1,5 @@
 #include "runner/sweep.h"
 
-#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -20,16 +19,7 @@ steadyNowNs()
         .count();
 }
 
-/** Live SweepRunner worker threads (see activeSweepThreads()). */
-std::atomic<unsigned> g_activeSweepThreads{0};
-
 }  // namespace
-
-unsigned
-activeSweepThreads()
-{
-    return g_activeSweepThreads.load(std::memory_order_relaxed);
-}
 
 unsigned
 SweepRunner::jobsFromEnv()
@@ -54,7 +44,6 @@ SweepRunner::SweepRunner(unsigned threads)
     workers_.reserve(threads_);
     for (unsigned i = 0; i < threads_; ++i)
         workers_.emplace_back([this] { workerLoop(); });
-    g_activeSweepThreads.fetch_add(threads_, std::memory_order_relaxed);
 }
 
 SweepRunner::~SweepRunner()
@@ -66,7 +55,6 @@ SweepRunner::~SweepRunner()
     workReady_.notify_all();
     for (std::thread &worker : workers_)
         worker.join();
-    g_activeSweepThreads.fetch_sub(threads_, std::memory_order_relaxed);
 }
 
 std::future<SimResult>

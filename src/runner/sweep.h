@@ -153,19 +153,6 @@ class SweepRunner
 };
 
 /**
- * Total worker threads across every live SweepRunner in this process
- * (0 when no pool exists). runSimulation() consults this to share one
- * core budget between the two parallelism layers: when a sweep pool is
- * fanning out simulations, each simulation's sharded-engine worker
- * count is clamped so jobs x shards stays within the machine. The
- * sweep pool takes precedence -- independent simulations scale better
- * than intra-simulation shards -- and a sharded config is never
- * degraded to the serial engine (the clamp floors at 1 worker), since
- * serial vs sharded is a distinct timing model (DESIGN.md §12).
- */
-unsigned activeSweepThreads();
-
-/**
  * Maps @p items through @p fn on the pool and returns the results in
  * item order. Blocks until all are done. The items vector must outlive
  * the call (it does: the call blocks).

@@ -1,12 +1,10 @@
 #include "trace/trace_export.h"
 
 #include <algorithm>
-#include <array>
 #include <cstdio>
 #include <vector>
 
 #include "common/log.h"
-#include "trace/trace_mux.h"
 
 namespace mosaic {
 
@@ -56,9 +54,8 @@ trackName(TraceTrack track)
 
 constexpr int kPid = 1;
 
-/** @p tidBase is 16 * lane for merged multi-lane export, 0 serially. */
 void
-writeEvent(JsonWriter &w, const TraceEvent &e, unsigned tidBase = 0)
+writeEvent(JsonWriter &w, const TraceEvent &e)
 {
     w.beginObject();
     w.field("name", e.name);
@@ -68,7 +65,7 @@ writeEvent(JsonWriter &w, const TraceEvent &e, unsigned tidBase = 0)
     if (e.phase == TracePhase::Complete)
         w.field("dur", e.dur);
     w.field("pid", kPid);
-    w.field("tid", tidBase + static_cast<unsigned>(e.track));
+    w.field("tid", static_cast<unsigned>(e.track));
     switch (e.phase) {
     case TracePhase::AsyncBegin:
     case TracePhase::AsyncInstant:
@@ -108,17 +105,15 @@ writeEvent(JsonWriter &w, const TraceEvent &e, unsigned tidBase = 0)
  * were actually dropped: the common lossless case stays byte-identical
  * to the historical document (and the golden-locked serial trace).
  */
-template <typename DroppedInCategoryFn>
 void
-writeDroppedByCategory(JsonWriter &w, std::uint64_t dropped,
-                       DroppedInCategoryFn &&droppedInCategory)
+writeDroppedByCategory(JsonWriter &w, const Tracer &tracer)
 {
-    if (dropped == 0)
+    if (tracer.dropped() == 0)
         return;
     w.key("droppedByCategory");
     w.beginObject();
     for (unsigned bit = 0; bit < kTraceCategoryCount; ++bit) {
-        const std::uint64_t n = droppedInCategory(bit);
+        const std::uint64_t n = tracer.droppedInCategory(bit);
         if (n > 0)
             w.field(traceCategoryName(static_cast<TraceCategory>(1u << bit)),
                     n);
@@ -251,9 +246,7 @@ writeChromeTrace(const Tracer &tracer, JsonWriter &w,
     w.field("recorded", tracer.recorded());
     w.field("dropped", tracer.dropped());
     w.field("categories", tracer.mask());
-    writeDroppedByCategory(w, tracer.dropped(), [&tracer](unsigned bit) {
-        return tracer.droppedInCategory(bit);
-    });
+    writeDroppedByCategory(w, tracer);
     w.endObject();
     w.endObject();
 }
@@ -276,138 +269,6 @@ writeChromeTraceFile(const Tracer &tracer, const std::string &path,
         return false;
     }
     const std::string json = chromeTraceJson(tracer, processName);
-    std::fwrite(json.data(), 1, json.size(), f);
-    std::fputc('\n', f);
-    std::fclose(f);
-    return true;
-}
-
-void
-writeChromeTrace(const TraceMux &mux, JsonWriter &w,
-                 const std::string &processName)
-{
-    if (!mux.sharded()) {
-        // Serial: exactly the historical single-ring document.
-        writeChromeTrace(mux.hubRing(), w, processName);
-        return;
-    }
-
-    const std::size_t lanes = mux.laneCount();
-
-    // Merge in the engine's canonical exchange order: push lanes in
-    // index order (hub first), then stable-sort by timestamp -- ties
-    // resolve to (lane, record-order), so the document depends only on
-    // simulated behavior, never on worker count or thread scheduling.
-    struct Rec
-    {
-        const TraceEvent *e;
-        std::uint32_t lane;
-    };
-    std::vector<Rec> ordered;
-    ordered.reserve(mux.size());
-    for (std::size_t lane = 0; lane < lanes; ++lane)
-        mux.ring(lane).forEach([&ordered, lane](const TraceEvent &e) {
-            ordered.push_back({&e, static_cast<std::uint32_t>(lane)});
-        });
-    std::stable_sort(ordered.begin(), ordered.end(),
-                     [](const Rec &a, const Rec &b) {
-                         return a.e->ts < b.e->ts;
-                     });
-
-    // Only announce (lane, track) pairs that actually hold events, so
-    // Perfetto shows 8 used tracks instead of 6 * lanes mostly-empty
-    // ones.
-    std::vector<std::array<bool, 7>> used(lanes, std::array<bool, 7>{});
-    for (const Rec &r : ordered)
-        used[r.lane][static_cast<unsigned>(r.e->track)] = true;
-
-    w.beginObject();
-    w.key("traceEvents");
-    w.beginArray();
-
-    w.beginObject();
-    w.field("name", "process_name");
-    w.field("ph", "M");
-    w.field("pid", kPid);
-    w.key("args");
-    w.beginObject();
-    w.field("name", processName);
-    w.endObject();
-    w.endObject();
-    for (std::size_t lane = 0; lane < lanes; ++lane) {
-        for (unsigned track = 1; track <= 6; ++track) {
-            if (!used[lane][track])
-                continue;
-            const char *base = trackName(static_cast<TraceTrack>(track));
-            std::string name(base);
-            if (lane > 0 && lane <= mux.smLanes())
-                name = "sm" + std::to_string(lane - 1) + " " + base;
-            else if (lane > mux.smLanes())
-                name = "hub-sub" +
-                       std::to_string(lane - 1 - mux.smLanes()) + " " + base;
-            w.beginObject();
-            w.field("name", "thread_name");
-            w.field("ph", "M");
-            w.field("pid", kPid);
-            w.field("tid", static_cast<unsigned>(16 * lane + track));
-            w.key("args");
-            w.beginObject();
-            w.field("name", name);
-            w.endObject();
-            w.endObject();
-        }
-    }
-
-    for (const Rec &r : ordered)
-        writeEvent(w, *r.e, /*tidBase=*/16 * r.lane);
-    w.endArray();
-
-    w.field("displayTimeUnit", "ms");
-    w.key("otherData");
-    w.beginObject();
-    w.field("clock", "GPU core cycles (1 trace us == 1 cycle)");
-    w.field("recorded", mux.recorded());
-    w.field("dropped", mux.dropped());
-    w.field("categories", mux.mask());
-    w.field("engine", "sharded");
-    w.field("lanes", static_cast<std::uint64_t>(lanes));
-    w.key("laneRecorded");
-    w.beginArray();
-    for (std::size_t lane = 0; lane < lanes; ++lane)
-        w.value(mux.ring(lane).recorded());
-    w.endArray();
-    w.key("laneDropped");
-    w.beginArray();
-    for (std::size_t lane = 0; lane < lanes; ++lane)
-        w.value(mux.ring(lane).dropped());
-    w.endArray();
-    writeDroppedByCategory(w, mux.dropped(), [&mux](unsigned bit) {
-        return mux.droppedInCategory(bit);
-    });
-    w.endObject();
-    w.endObject();
-}
-
-std::string
-chromeTraceJson(const TraceMux &mux, const std::string &processName)
-{
-    JsonWriter w;
-    writeChromeTrace(mux, w, processName);
-    return w.str();
-}
-
-bool
-writeChromeTraceFile(const TraceMux &mux, const std::string &path,
-                     const std::string &processName)
-{
-    if (!mux.sharded())
-        return writeChromeTraceFile(mux.hubRing(), path, processName);
-    std::FILE *f = std::fopen(path.c_str(), "w");
-    if (f == nullptr) {
-        MOSAIC_WARN("cannot open " + path + " for writing");
-        return false;
-    }
-    const std::string json = chromeTraceJson(mux, processName);
     std::fwrite(json.data(), 1, json.size(), f);
     std::fputc('\n', f);
     std::fclose(f);

@@ -22,8 +22,6 @@
 
 namespace mosaic {
 
-class TraceMux;
-
 /**
  * Writes @p tracer's events as a complete Chrome Trace Event JSON
  * document into @p w. @p processName labels the trace's single process
@@ -41,26 +39,6 @@ std::string chromeTraceJson(const Tracer &tracer,
  * @return false (with a warning) when the file cannot be opened.
  */
 bool writeChromeTraceFile(const Tracer &tracer, const std::string &path,
-                          const std::string &processName = "mosaic-sim");
-
-/**
- * TraceMux export. Non-sharded muxes delegate to the single-ring path
- * above, byte for byte. Sharded muxes merge the per-lane rings into
- * one canonical stream ordered by (cycle, lane, record-order) -- the
- * engine's cross-lane exchange order -- rendering lane L's track T at
- * tid = 16*L + T, with per-lane thread_name metadata and per-lane
- * recorded/dropped accounting in otherData. The result is
- * byte-identical for every worker count N >= 1.
- */
-void writeChromeTrace(const TraceMux &mux, JsonWriter &w,
-                      const std::string &processName = "mosaic-sim");
-
-/** The merged trace as a JSON string. */
-std::string chromeTraceJson(const TraceMux &mux,
-                            const std::string &processName = "mosaic-sim");
-
-/** Writes the merged trace to @p path. */
-bool writeChromeTraceFile(const TraceMux &mux, const std::string &path,
                           const std::string &processName = "mosaic-sim");
 
 }  // namespace mosaic

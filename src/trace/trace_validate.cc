@@ -68,11 +68,6 @@ validateChromeTrace(const JsonValue &root, bool collectStats)
         other != nullptr && other->isObject()) {
         r.dropped = static_cast<std::uint64_t>(other->num("dropped"));
         categories = static_cast<std::uint32_t>(other->num("categories", ~0u));
-        r.lanes = static_cast<std::uint32_t>(other->num("lanes", 1.0));
-        if (r.lanes == 0) {
-            err(r, "otherData.lanes is zero");
-            r.lanes = 1;
-        }
         // Per-category drop accounting must cover every drop exactly.
         if (const JsonValue *byCat = other->get("droppedByCategory");
             byCat != nullptr && byCat->isObject()) {
@@ -103,8 +98,7 @@ validateChromeTrace(const JsonValue &root, bool collectStats)
     // and each "e" closes the innermost open span (stack semantics).
     std::map<std::pair<std::string, std::string>, std::vector<double>> open;
     // (cat, id) -> tid of the series' first event. A span never
-    // migrates lanes: the sharded exporter keeps each async flow on the
-    // ring (and thus tid) that opened it.
+    // changes track: every event of one flow records on the same one.
     std::map<std::pair<std::string, std::string>, unsigned> seriesTid;
     // frame id -> lifecycle replay state.
     std::map<std::string, FrameState> frames;
@@ -145,29 +139,21 @@ validateChromeTrace(const JsonValue &root, bool collectStats)
         if (ts->number < 0)
             err(r, "negative timestamp" + at(e));
         // The exporter replays the ring in record order; simulated time
-        // never goes backwards, so neither may the stream. The sharded
-        // merge sorts by ts across lanes, so the same invariant holds.
+        // never goes backwards, so neither may the stream.
         if (sawEvent && ts->number < lastTs)
             err(r, "timestamps out of order" + at(e));
         lastTs = ts->number;
         sawEvent = true;
 
-        // Every event maps onto a (lane, track) pair: tid = 16*lane +
-        // track, with the lane within the export's lane count and a
-        // named metadata track for every tid in use.
+        // Every event's tid is a known track with a named metadata
+        // track.
         unsigned tid = ~0u;
         if (const JsonValue *tv = e.get("tid");
             tv == nullptr || !tv->isNumber()) {
             err(r, "event without a numeric tid" + at(e));
         } else {
             tid = static_cast<unsigned>(tv->number);
-            const unsigned lane = tid / 16;
-            const unsigned track = tid % 16;
-            if (lane >= r.lanes)
-                err(r, "tid " + std::to_string(tid) + " names lane " +
-                           std::to_string(lane) + " but the export has " +
-                           std::to_string(r.lanes) + " lanes" + at(e));
-            if (track < 1 || track > 6)
+            if (tid < 1 || tid > 6)
                 err(r, "tid " + std::to_string(tid) +
                            " names an unknown track" + at(e));
             usedTids.insert(tid);
@@ -208,9 +194,8 @@ validateChromeTrace(const JsonValue &root, bool collectStats)
             continue;
         }
         const auto key = std::make_pair(e.str("cat"), id);
-        // Cross-lane flow ordering: every event of one async series must
-        // live on the tid that opened it (ids are lane-namespaced or
-        // lane-derived, so a series never hops rings).
+        // Every event of one async series must live on the tid that
+        // opened it.
         if (tid != ~0u) {
             const auto [series, inserted] = seriesTid.emplace(key, tid);
             if (!inserted && series->second != tid)
@@ -286,9 +271,8 @@ validateChromeTrace(const JsonValue &root, bool collectStats)
         // lookup above already proved.
     }
 
-    // Track metadata: the exporter names every (lane, track) pair it
-    // emits events on, so a tid without thread_name metadata means the
-    // merge and the metadata pass disagree about which lanes are live.
+    // Track metadata: the exporter names every track, so a tid without
+    // thread_name metadata means the document was not written by it.
     for (const unsigned tid : usedTids)
         if (metaTids.count(tid) == 0)
             err(r, "tid " + std::to_string(tid) +

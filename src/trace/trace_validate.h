@@ -20,11 +20,9 @@
  *    mm.compactions, mm.emergencySplinters,
  *    mm.softGuaranteeViolations) must equal the number of
  *    corresponding events in the stream;
- *  - lane/track integrity (sharded exports): every event's tid decodes
- *    to (lane = tid/16, track = tid%16) with lane < otherData.lanes and
- *    a known track, every used tid carries thread_name metadata, and
- *    all events of one async series share a tid (a span never migrates
- *    lanes mid-flight -- the cross-lane flow-ordering contract);
+ *  - track integrity: every event's tid names a known track, every
+ *    used tid carries thread_name metadata, and all events of one async
+ *    series share a tid (a span never changes track mid-flight);
  *  - drop accounting: when otherData reports droppedByCategory, the
  *    per-category counts must sum to the total drop count.
  *
@@ -69,7 +67,6 @@ struct TraceCheckResult
 
     std::uint64_t events = 0;       ///< trace events (metadata excluded)
     std::uint64_t dropped = 0;      ///< ring-buffer drops per otherData
-    std::uint32_t lanes = 1;        ///< export lanes (1 when serial)
     std::uint64_t frameLifecycles = 0;  ///< frame alloc events seen
     std::uint64_t completeLifecycles = 0;  ///< alloc..free fully in trace
     std::uint64_t walkSpans = 0;

@@ -147,30 +147,15 @@ struct TraceConfig
     Cycles counterPeriodCycles = 50000;
     /** Engine dispatch sampling: one instant every N executed events. */
     std::uint64_t engineSampleEvery = 4096;
-    /** Sharded-engine self-profiler: emit per-lane counter samples every
-     *  N epoch windows (window = ShardConfig::windowCycles). */
-    std::uint64_t shardSampleEpochs = 64;
 };
 
-/**
- * The per-simulation trace recorder -- or, under the sharded engine,
- * the per-*lane* recorder (one ring per SM lane plus the hub lane,
- * owned by trace/trace_mux.h). @p idTag namespaces nextId() per lane so
- * async ids never collide across lanes; @p capacityOverride lets the
- * mux split the configured ring budget across lanes. Serial tracing
- * uses tag 0 and no override, which is bit-identical to the historical
- * single-ring behavior.
- */
+/** The per-simulation trace recorder: one ring buffer of events. */
 class Tracer
 {
   public:
-    explicit Tracer(const TraceConfig &config, std::uint32_t idTag = 0,
-                    std::size_t capacityOverride = 0)
-        : config_(config), mask_(config.enabled ? config.categories : 0),
-          idTag_(idTag)
+    explicit Tracer(const TraceConfig &config)
+        : config_(config), mask_(config.enabled ? config.categories : 0)
     {
-        if (capacityOverride != 0)
-            config_.ringCapacity = capacityOverride;
         buf_.reserve(config_.ringCapacity);
     }
 
@@ -182,15 +167,13 @@ class Tracer
 
     const TraceConfig &config() const { return config_; }
 
-    /** Monotonic id source for async spans (deterministic per run).
-     *  Tagged with the lane id at bit 40, below traceId()'s 56-bit
-     *  namespace field; tag 0 (serial / hub lane) yields exactly the
-     *  historical sequence 1, 2, 3, ... */
-    std::uint64_t
-    nextId()
-    {
-        return (static_cast<std::uint64_t>(idTag_) << 40) | ++lastId_;
-    }
+    /** This ring. Kept only because ledger/ledger_main.cc reads the
+     *  trace through it; drop it together with that call. */
+    const Tracer &hubRing() const { return *this; }
+
+    /** Monotonic id source for async spans (deterministic per run):
+     *  1, 2, 3, ... */
+    std::uint64_t nextId() { return ++lastId_; }
 
     /** Records a complete span [ts, ts+dur). */
     void
@@ -305,7 +288,6 @@ class Tracer
 
     TraceConfig config_;
     std::uint32_t mask_ = 0;
-    std::uint32_t idTag_ = 0;
     std::uint64_t lastId_ = 0;
     std::vector<TraceEvent> buf_;
     std::size_t head_ = 0;  ///< oldest record once the ring wrapped

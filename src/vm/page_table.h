@@ -138,11 +138,7 @@ class RegionPtNodeAllocator : public PtNodeAllocator
  *
  * All functional reads (translate(), walkPath(), isMapped(), ...) are
  * pure tree descents over const state -- no caches, no mutable memo
- * members. Concurrent readers are therefore safe whenever no mutator
- * runs, which is exactly the sharded engine's phase contract: SM lanes
- * translate in parallel during the SM phase while every mutation
- * (mapping, coalescing, compaction) is confined to the hub phase
- * (DESIGN.md §12).
+ * members.
  */
 class PageTable
 {
@@ -239,8 +235,8 @@ class PageTable
      * CoLT contiguity probe: physical address of the first page of the
      * VA-aligned 2^spanPagesLog2-base-page group containing @p va iff
      * every page of the group is mapped, resident, and physically
-     * contiguous; kInvalidAddr otherwise. Pure const descent (same
-     * sharded-read contract as translate()).
+     * contiguous; kInvalidAddr otherwise. Pure const descent, like
+     * translate().
      */
     Addr contiguousGroupBase(Addr va, unsigned spanPagesLog2) const;
 

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "trace/trace_mux.h"
-
 namespace mosaic {
 
 namespace {
@@ -45,11 +43,9 @@ TranslationService::TranslationService(EventQueue &events,
                                        PageTableWalker &walker,
                                        unsigned numSms,
                                        const TranslationConfig &config,
-                                       StatsRegistry *metrics, Tracer *tracer,
-                                       LaneRouter *router, TraceMux *traceMux)
+                                       StatsRegistry *metrics, Tracer *tracer)
     : events_(events), walker_(walker), config_(normalized(config)),
-      tracer_(tracer), router_(router), traceMux_(traceMux), l2_(config_.l2),
-      slices_(numSms)
+      tracer_(tracer), l2_(config_.l2), slices_(numSms)
 {
     l1_.reserve(numSms);
     mshrs_.reserve(numSms);
@@ -58,8 +54,8 @@ TranslationService::TranslationService(EventQueue &events,
         mshrs_.emplace_back(0);
     }
     if (metrics != nullptr) {
-        // Service counters are split across SM slices (so concurrent
-        // lanes never share a cache line) and summed on demand.
+        // Service counters are split into per-SM slices and summed on
+        // demand.
         metrics->bindCounterFn("vm.translation.requests",
                                [this] { return stats().requests; });
         metrics->bindCounterFn("vm.translation.l1Hits",
@@ -127,7 +123,7 @@ TranslationService::l1StatsTotal() const
 TranslationService::Stats
 TranslationService::stats() const
 {
-    Stats total = stats_;  // hub-side l2Hits / walksIssued
+    Stats total = stats_;  // shared-side l2Hits / walksIssued
     for (const SmSlice &slice : slices_) {
         total.requests += slice.stats.requests;
         total.l1Hits += slice.stats.l1Hits;
@@ -164,35 +160,9 @@ TranslationService::registerApp(AppId app, const PageTable &table)
 }
 
 void
-TranslationService::flushDeferredCheckHooks()
-{
-    const std::uint8_t top =
-        static_cast<std::uint8_t>(config_.sizes.topLevel());
-    for (SmSlice &slice : slices_) {
-        for (const DeferredHook &hook : slice.pendingHooks) {
-            if (checker_ == nullptr)
-                continue;
-            if (hook.kind == kColtKind)
-                checker_->onTlbFillColt(hook.app, hook.vpn);
-            else if (hook.kind == top)
-                checker_->onTlbFillLarge(hook.app, hook.vpn);
-            else if (hook.kind == 0)
-                checker_->onTlbFillBase(hook.app, hook.vpn);
-            else
-                checker_->onTlbFillLevel(hook.app, hook.vpn, hook.kind);
-        }
-        slice.pendingHooks.clear();
-    }
-}
-
-void
 TranslationService::translate(SmId sm, const PageTable &pageTable, Addr va,
                               TranslateCallback onDone)
 {
-    // Runs on the requesting SM's lane under the sharded engine, so
-    // everything it touches is slice-local (slices_[sm], l1_[sm],
-    // mshrs_[sm]); the hub-owned perApp_ table pointer is learned here
-    // only in serial mode (sharded assemblies pre-register apps).
     SmSlice &slice = slices_[sm];
     const AppId app = pageTable.appId();
     if (app >= slice.app.size())
@@ -200,36 +170,19 @@ TranslationService::translate(SmId sm, const PageTable &pageTable, Addr va,
     ++slice.stats.requests;
     AppStats &app_stats = slice.app[app];
     ++app_stats.requests;
-    if (router_ == nullptr)
-        perAppSlot(app).table = &pageTable;  // used by shootdowns
-    EventQueue &lane = router_ != nullptr ? router_->laneQueue(sm) : events_;
-
-    if (config_.idealTlb) {
-        // Every request hits in the L1 TLB; unbacked pages still fault.
-        ++slice.stats.l1Hits;
-        ++app_stats.l1Hits;
-        lane.scheduleAfter(config_.l1.latencyCycles,
-                           [this, sm, &pageTable, va,
-                            cb = std::move(onDone)] {
-            const Translation t = pageTable.translate(va);
-            if (!t.valid)
-                ++slices_[sm].stats.faults;
-            cb(t);
-        });
-        return;
-    }
+    perAppSlot(app).table = &pageTable;  // used by shootdowns
 
     // L1 probe: largest page-size entries first (a hit there skips the
     // smaller probes), base-page entries last, then the CoLT coalesced
     // groups when enabled. For the default pair this is exactly the
-    // paper's large-then-base order.
-    const bool l1_hit = probeTlb(l1_[sm], app, va) >= 0;
-    if (l1_hit) {
+    // paper's large-then-base order. An ideal TLB hits without probing;
+    // unbacked pages still fault.
+    if (config_.idealTlb || probeTlb(l1_[sm], app, va) >= 0) {
         ++slice.stats.l1Hits;
         ++app_stats.l1Hits;
-        lane.scheduleAfter(config_.l1.latencyCycles,
-                           [this, sm, &pageTable, va,
-                            cb = std::move(onDone)] {
+        events_.scheduleAfter(config_.l1.latencyCycles,
+                              [this, sm, &pageTable, va,
+                               cb = std::move(onDone)] {
             const Translation t = pageTable.translate(va);
             if (!t.valid)
                 ++slices_[sm].stats.faults;
@@ -253,24 +206,12 @@ TranslationService::translate(SmId sm, const PageTable &pageTable, Addr va,
         return;
     }
     if (tracer_ != nullptr && tracer_->on(kTraceVm)) {
-        // Lane-side: under the sharded engine the span lives in the
-        // requesting SM's ring at its lane clock; serially the lane IS
-        // events_ and laneTracer() IS tracer_, byte-identical.
-        laneTracer(sm)->asyncBegin(kTraceVm, TraceTrack::Vm, "tlbMiss",
-                                   missFlowId(sm, key), lane.now(),
-                                   {"sm", static_cast<std::uint64_t>(sm)},
-                                   {"vpn", basePageNumber(va)});
+        tracer_->asyncBegin(kTraceVm, TraceTrack::Vm, "tlbMiss",
+                            missFlowId(sm, key), events_.now(),
+                            {"sm", static_cast<std::uint64_t>(sm)},
+                            {"vpn", basePageNumber(va)});
     }
 
-    if (router_ != nullptr) {
-        // The L2 TLB lives on the hub lane; the probe crosses at its
-        // natural cycle (the hub runs this window after the SM phase).
-        router_->toHub(sm, lane.now() + config_.l1.latencyCycles,
-                       [this, sm, &pageTable, va] {
-            missToL2(sm, pageTable, va);
-        });
-        return;
-    }
     events_.scheduleAfter(config_.l1.latencyCycles,
                           [this, sm, &pageTable, va] {
         missToL2(sm, pageTable, va);
@@ -304,16 +245,6 @@ TranslationService::missToL2(SmId sm, const PageTable &pageTable, Addr va)
             const std::uint8_t kind = static_cast<std::uint8_t>(l2_hit);
             ++stats_.l2Hits;
             ++perAppSlot(app).stats.l2Hits;
-            if (router_ != nullptr) {
-                // The L1 fill and the MSHR wakeups are SM-side: hand
-                // them back to the lane (delivered next window).
-                router_->callSm(sm, [this, sm, &pageTable, va, key,
-                                     kind] {
-                    fillL1FromHub(sm, pageTable, va, kind, key,
-                                  /*servedBy=*/2);
-                });
-                return;
-            }
             applyL1Fill(sm, app, va, kind);
             if (tracer_ != nullptr && tracer_->on(kTraceVm)) {
                 // servedBy: 2 == shared L2 TLB, 3 == page-table walk.
@@ -331,42 +262,11 @@ TranslationService::missToL2(SmId sm, const PageTable &pageTable, Addr va)
                             [this, sm, &pageTable, va,
                              key](const Translation &result) {
             fillFromWalk(sm, pageTable, va, result);
-            if (router_ == nullptr && tracer_ != nullptr &&
-                tracer_->on(kTraceVm)) {
-                // Serial: close the span here. Sharded: the span lives
-                // in the SM's lane ring, so the lane-side completion
-                // below closes it at its lane clock instead.
+            if (tracer_ != nullptr && tracer_->on(kTraceVm)) {
                 tracer_->asyncEnd(kTraceVm, TraceTrack::Vm, "tlbMiss",
                                   missFlowId(sm, key), events_.now(),
                                   {"servedBy", 3},
                                   {"faulted", result.valid ? 0u : 1u});
-            }
-            if (router_ != nullptr) {
-                // SM-side completion (L1 fill + MSHR wakeups) crosses
-                // back to the lane; the hub-side L2 fill above already
-                // happened at the walk's natural cycle.
-                if (result.valid) {
-                    const std::uint8_t kind =
-                        result.size == PageSize::Large ? result.level
-                                                       : std::uint8_t{0};
-                    router_->callSm(sm, [this, sm, &pageTable, va, key,
-                                         kind] {
-                        fillL1FromHub(sm, pageTable, va, kind, key,
-                                      /*servedBy=*/3);
-                    });
-                } else {
-                    router_->callSm(sm, [this, sm, key] {
-                        if (tracer_ != nullptr && tracer_->on(kTraceVm)) {
-                            laneTracer(sm)->asyncEnd(
-                                kTraceVm, TraceTrack::Vm, "tlbMiss",
-                                missFlowId(sm, key),
-                                router_->laneQueue(sm).now(),
-                                {"servedBy", 3}, {"faulted", 1});
-                        }
-                        mshrs_[sm].fill(key);
-                    });
-                }
-                return;
             }
             mshrs_[sm].fill(key);
         });
@@ -433,15 +333,12 @@ TranslationService::fillFromWalk(SmId sm, const PageTable &pageTable,
         const unsigned level = result.level;
         if (level == hs.topLevel()) {
             l2_.fillLarge(app, pageNumberAt(va, hs.topBits()));
-            if (router_ == nullptr)
-                l1_[sm].fillLarge(app, pageNumberAt(va, hs.topBits()));
+            l1_[sm].fillLarge(app, pageNumberAt(va, hs.topBits()));
             if (checker_ != nullptr)
                 checker_->onTlbFillLarge(app, pageNumberAt(va, hs.topBits()));
         } else {
             l2_.fillMid(level - 1, app, pageNumberAt(va, hs.bits(level)));
-            if (router_ == nullptr)
-                l1_[sm].fillMid(level - 1, app,
-                                pageNumberAt(va, hs.bits(level)));
+            l1_[sm].fillMid(level - 1, app, pageNumberAt(va, hs.bits(level)));
             if (checker_ != nullptr)
                 checker_->onTlbFillLevel(
                     app, pageNumberAt(va, hs.bits(level)), level);
@@ -449,8 +346,7 @@ TranslationService::fillFromWalk(SmId sm, const PageTable &pageTable,
     } else {
         const std::uint64_t base_vpn = pageNumberAt(va, hs.bits(0));
         l2_.fillBase(app, base_vpn);
-        if (router_ == nullptr)
-            l1_[sm].fillBase(app, base_vpn);
+        l1_[sm].fillBase(app, base_vpn);
         if (checker_ != nullptr)
             checker_->onTlbFillBase(app, base_vpn);
         // CoLT earns reach beyond one base page when the covering group
@@ -460,84 +356,12 @@ TranslationService::fillFromWalk(SmId sm, const PageTable &pageTable,
             pageTable.contiguousGroupBase(
                 va, config_.l2.coltSpanPagesLog2) != kInvalidAddr) {
             l2_.fillColt(app, base_vpn);
-            if (router_ == nullptr)
-                l1_[sm].fillColt(app, base_vpn);
+            l1_[sm].fillColt(app, base_vpn);
             if (checker_ != nullptr)
                 checker_->onTlbFillColt(
                     app, base_vpn >> config_.l2.coltSpanPagesLog2);
         }
     }
-}
-
-Tracer *
-TranslationService::laneTracer(SmId sm)
-{
-    return traceMux_ != nullptr ? traceMux_->lane(sm) : tracer_;
-}
-
-void
-TranslationService::fillL1FromHub(SmId sm, const PageTable &pageTable,
-                                  Addr va, std::uint8_t kind,
-                                  std::uint64_t key, std::uint8_t servedBy)
-{
-    // Delivered one window after the hub produced the fill, so the
-    // region may have been splintered or the page unmapped in between.
-    // The TLBs are tag-only (translations are always re-read from the
-    // live page table), so skipping a stale fill is timing-only; the
-    // revalidation keeps the checker's shadow exact.
-    const AppId app = pageTable.appId();
-    const PageSizeHierarchy &hs = config_.sizes;
-    const std::uint64_t base_vpn = pageNumberAt(va, hs.bits(0));
-    if (kind == kColtKind) {
-        if (pageTable.contiguousGroupBase(
-                va, config_.l1.coltSpanPagesLog2) != kInvalidAddr) {
-            l1_[sm].fillColt(app, base_vpn);
-            if (checker_ != nullptr)
-                slices_[sm].pendingHooks.push_back(DeferredHook{
-                    kColtKind, app,
-                    base_vpn >> config_.l1.coltSpanPagesLog2});
-        }
-    } else if (kind == 0) {
-        if (pageTable.isMapped(va)) {
-            l1_[sm].fillBase(app, base_vpn);
-            if (checker_ != nullptr)
-                slices_[sm].pendingHooks.push_back(
-                    DeferredHook{0, app, base_vpn});
-        }
-        if (config_.colt &&
-            pageTable.contiguousGroupBase(
-                va, config_.l1.coltSpanPagesLog2) != kInvalidAddr) {
-            l1_[sm].fillColt(app, base_vpn);
-            if (checker_ != nullptr)
-                slices_[sm].pendingHooks.push_back(DeferredHook{
-                    kColtKind, app,
-                    base_vpn >> config_.l1.coltSpanPagesLog2});
-        }
-    } else if (kind == hs.topLevel()) {
-        if (pageTable.isCoalesced(va)) {
-            l1_[sm].fillLarge(app, pageNumberAt(va, hs.topBits()));
-            if (checker_ != nullptr)
-                slices_[sm].pendingHooks.push_back(DeferredHook{
-                    kind, app, pageNumberAt(va, hs.topBits())});
-        }
-    } else {
-        if (pageTable.isCoalescedAt(va, kind)) {
-            l1_[sm].fillMid(kind - 1, app, pageNumberAt(va, hs.bits(kind)));
-            if (checker_ != nullptr)
-                slices_[sm].pendingHooks.push_back(DeferredHook{
-                    kind, app, pageNumberAt(va, hs.bits(kind))});
-        }
-    }
-    if (tracer_ != nullptr && tracer_->on(kTraceVm)) {
-        // Close the miss span on the SM's lane ring at the lane clock
-        // (fillL1FromHub only runs under the sharded engine, delivered
-        // at the window edge). servedBy: 2 == L2 TLB, 3 == walk.
-        laneTracer(sm)->asyncEnd(kTraceVm, TraceTrack::Vm, "tlbMiss",
-                                 missFlowId(sm, key),
-                                 router_->laneQueue(sm).now(),
-                                 {"servedBy", servedBy});
-    }
-    mshrs_[sm].fill(key);
 }
 
 void
@@ -629,8 +453,6 @@ TranslationService::saveState(ckpt::Writer &w) const
         mshr.saveState(w);
     save_stats(stats_);
     for (const SmSlice &slice : slices_) {
-        MOSAIC_ASSERT(slice.pendingHooks.empty(),
-                      "checkpointing with deferred checker hooks pending");
         save_stats(slice.stats);
         w.u64(slice.app.size());
         for (const AppStats &a : slice.app) {
@@ -681,7 +503,7 @@ TranslationService::loadState(ckpt::Reader &r)
             a.walks = r.u64();
         }
     }
-    const std::uint64_t apps = r.count(1u << 20, "per-app hub slots");
+    const std::uint64_t apps = r.count(1u << 20, "per-app slots");
     if (!r.ok())
         return;
     // Keep table pointers learned via registerApp; only stats restore.

@@ -22,14 +22,11 @@
 #include "common/page_sizes.h"
 #include "common/types.h"
 #include "engine/event_queue.h"
-#include "engine/lane_router.h"
 #include "vm/page_table.h"
 #include "vm/tlb.h"
 #include "vm/walker.h"
 
 namespace mosaic {
-
-class TraceMux;
 
 /** Translation-path configuration. */
 struct TranslationConfig
@@ -101,25 +98,11 @@ class TranslationService
      *                (DESIGN.md §8).
      * @param tracer when non-null, every L1 miss records a TLB-miss
      *               span from registration to fill.
-     * @param router when non-null, the service runs under the sharded
-     *               engine (DESIGN.md §12): translate() executes on the
-     *               requesting SM's lane, the L2 TLB + walker on the hub
-     *               lane, and all lane-crossing completions go through
-     *               the router. When null (the default), behavior is
-     *               byte-identical to the classic serial engine.
-     * @param traceMux when non-null alongside @p router, TLB-miss spans
-     *               record into the requesting SM's *lane ring* (begin
-     *               at translate(), end at the lane-side fill), so the
-     *               sharded trace stays worker-count independent. A
-     *               serial mux resolves every lane to the single ring,
-     *               matching @p tracer byte for byte.
      */
     TranslationService(EventQueue &events, PageTableWalker &walker,
                        unsigned numSms, const TranslationConfig &config,
                        StatsRegistry *metrics = nullptr,
-                       Tracer *tracer = nullptr,
-                       LaneRouter *router = nullptr,
-                       TraceMux *traceMux = nullptr);
+                       Tracer *tracer = nullptr);
 
     /**
      * Translates @p va for @p sm in address space @p pageTable.appId().
@@ -131,10 +114,9 @@ class TranslationService
 
     /**
      * Pre-registers @p table as @p app's address space and sizes every
-     * per-SM stat slice to cover it. The sharded assembly calls this for
-     * all apps before the run so no per-app containers grow (and no
-     * table pointer is written) from concurrent SM lanes; optional in
-     * serial mode, where slots are still learned on first use.
+     * per-SM stat slice to cover it. Optional: slots are otherwise
+     * learned on first use. The runner registers every app up front, so
+     * its checkpoint images carry one stat slot per app in every slice.
      */
     void registerApp(AppId app, const PageTable &table);
 
@@ -169,18 +151,10 @@ class TranslationService
     /** Attaches (or detaches, with nullptr) the invariant checker. */
     void setChecker(CheckSink *checker) { checker_ = checker; }
 
-    /**
-     * Replays checker notifications recorded on SM lanes (L1 fills from
-     * L2 hits and walk completions) into the checker, in SM order. The
-     * sharded assembly installs this as an epoch-barrier hook; a no-op
-     * in serial mode, where hooks fire inline.
-     */
-    void flushDeferredCheckHooks();
-
     /** Aggregate L1 statistics summed over SMs. */
     Tlb::Stats l1StatsTotal() const;
 
-    /** Service statistics, summed over the hub and every SM slice. */
+    /** Service statistics, summed over the shared and per-SM counters. */
     Stats stats() const;
 
     /** Statistics of one address space (zeros if it never translated). */
@@ -225,40 +199,23 @@ class TranslationService
         return perApp_[app];
     }
 
-    /** Fill kind routed between the hub and the SM lanes: 0 fills base
-     *  entries, a size level >= 1 fills that level's array (the top
-     *  level is the classic "large" fill), kColtKind fills a CoLT
-     *  group entry. */
+    /** Fill kind a TLB probe reports: 0 fills base entries, a size
+     *  level >= 1 fills that level's array (the top level is the
+     *  classic "large" fill), kColtKind fills a CoLT group entry. */
     static constexpr std::uint8_t kColtKind = 0xFF;
 
-    /** Checker notification recorded on an SM lane, replayed at the
-     *  next epoch barrier (serial mode never records any). */
-    struct DeferredHook
-    {
-        std::uint8_t kind;  ///< 0 base, size level, or kColtKind
-        AppId app;
-        std::uint64_t vpn;
-    };
-
-    /**
-     * SM-side counters and buffers. Everything an SM lane increments
-     * lives here, indexed by SmId, so concurrent lanes never share a
-     * counter; totals are summed on demand. In serial mode the same
-     * sites increment the same slices, so the sums are byte-identical.
-     * Cache-line aligned against false sharing between lanes.
-     */
-    struct alignas(64) SmSlice
+    /** Per-SM counters; totals are summed on demand. */
+    struct SmSlice
     {
         Stats stats;                 ///< requests/l1Hits/mshrMerges/faults
         std::vector<AppStats> app;   ///< requests/l1Hits per address space
-        std::vector<DeferredHook> pendingHooks;
     };
 
     /** Probes @p tlb top size level down to base, then CoLT. Returns
-     *  the hit's fill kind (see DeferredHook), or -1 on a full miss. */
+     *  the hit's fill kind (see kColtKind), or -1 on a full miss. */
     int probeTlb(Tlb &tlb, AppId app, Addr va);
 
-    /** Serial-mode L1 fill of @p kind plus the inline checker hook. */
+    /** L1 fill of @p kind plus the checker hook. */
     void applyL1Fill(SmId sm, AppId app, Addr va, std::uint8_t kind);
 
     /** Flushes every CoLT group entry intersecting [vaBase,
@@ -268,28 +225,20 @@ class TranslationService
     void missToL2(SmId sm, const PageTable &pageTable, Addr va);
     void fillFromWalk(SmId sm, const PageTable &pageTable, Addr va,
                       const Translation &result);
-    void fillL1FromHub(SmId sm, const PageTable &pageTable, Addr va,
-                       std::uint8_t kind, std::uint64_t key,
-                       std::uint8_t servedBy);
-
-    /** The ring lane-side (SM-side) trace events record into. */
-    Tracer *laneTracer(SmId sm);
 
     EventQueue &events_;
     PageTableWalker &walker_;
     TranslationConfig config_;
     Tracer *tracer_;
-    LaneRouter *router_;
-    TraceMux *traceMux_;
     std::vector<Tlb> l1_;
     Tlb l2_;
     Cycles l2NextIssueAt_ = 0;
     unsigned l2IssuesThisCycle_ = 0;
     std::vector<MshrFile> mshrs_;  ///< per-SM, keyed by (app, base vpn)
     CheckSink *checker_ = nullptr;
-    Stats stats_;                  ///< hub-side: l2Hits, walksIssued
+    Stats stats_;                  ///< shared side: l2Hits, walksIssued
     std::vector<SmSlice> slices_;  ///< SM-side counters, indexed by SmId
-    std::vector<PerApp> perApp_;   ///< indexed by AppId (hub-side)
+    std::vector<PerApp> perApp_;   ///< indexed by AppId (shared side)
 };
 
 }  // namespace mosaic

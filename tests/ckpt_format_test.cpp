@@ -4,7 +4,8 @@
  * image must produce a named diagnostic from ckpt::readFile -- never a
  * crash, never a partial restore -- and the serde Reader must latch its
  * first error. Positive path: write/read round-trips header and
- * payload exactly.
+ * payload exactly. A bad --restore image ends the run with exit code 1
+ * and the diagnostic, not an abort.
  */
 
 #include <gtest/gtest.h>
@@ -16,6 +17,8 @@
 
 #include "ckpt/checkpoint.h"
 #include "ckpt/serde.h"
+#include "runner/simulation.h"
+#include "workload/workload.h"
 
 namespace mosaic {
 namespace {
@@ -45,7 +48,6 @@ writeValid(const std::string &name, std::uint64_t fingerprint = 0xF00D)
     ckpt::Header h;
     h.fingerprint = fingerprint;
     h.resumeCycle = 123456;
-    h.sharded = true;
     const std::string path = tempPath(name);
     EXPECT_EQ(ckpt::writeFile(path, h, samplePayload()), "");
     return path;
@@ -76,7 +78,6 @@ TEST(CkptFormatTest, RoundTripsHeaderAndPayload)
     EXPECT_EQ(ckpt::readFile(path, 0xABCDEF, h, payload), "");
     EXPECT_EQ(h.fingerprint, 0xABCDEFu);
     EXPECT_EQ(h.resumeCycle, 123456u);
-    EXPECT_TRUE(h.sharded);
     EXPECT_EQ(payload, samplePayload());
 
     ckpt::Reader r(payload);
@@ -137,6 +138,32 @@ TEST(CkptFormatTest, StaleVersionIsDiagnosed)
     const std::string err = ckpt::readFile(path, 0, h, payload);
     EXPECT_NE(err.find("version"), std::string::npos) << err;
     EXPECT_TRUE(payload.empty());
+    std::remove(path.c_str());
+}
+
+TEST(CkptFormatTest, ShardedImageIsRejectedByName)
+{
+    // The engine byte follows magic(8), version(4), fingerprint(8) and
+    // resumeCycle(8). The writer always emits 0; 1 marked an image of
+    // the removed sharded engine.
+    const std::string path = writeValid("sharded");
+    std::vector<char> bytes = slurp(path);
+    ASSERT_EQ(bytes[28], 0);
+    bytes[28] = 1;
+    dump(path, bytes);
+    ckpt::Header h;
+    std::vector<std::uint8_t> payload;
+    std::string err = ckpt::readFile(path, 0, h, payload);
+    EXPECT_NE(err.find("checkpoint " + path +
+                       ": image was captured by the removed sharded engine"),
+              std::string::npos)
+        << err;
+    EXPECT_TRUE(payload.empty());
+
+    bytes[28] = 2;
+    dump(path, bytes);
+    err = ckpt::readFile(path, 0, h, payload);
+    EXPECT_NE(err.find("engine mode"), std::string::npos) << err;
     std::remove(path.c_str());
 }
 
@@ -206,6 +233,32 @@ TEST(CkptFormatTest, ImplausibleCountIsRejected)
     EXPECT_EQ(r.count(1024, "widget count"), 0u);
     EXPECT_FALSE(r.ok());
     EXPECT_NE(r.error().find("widget count"), std::string::npos);
+}
+
+/** A restore from @p path, as `mosaic_sim --restore` runs it. */
+void
+restoreFrom(const std::string &path)
+{
+    runSimulation(scaledWorkload(homogeneousWorkload("SCP", 1), 0.05),
+                  SimConfig::mosaicDefault().withRestoreFrom(path));
+}
+
+TEST(CkptRestoreDeathTest, MissingImageExitsWithDiagnostic)
+{
+    const std::string path = tempPath("restore_missing");
+    EXPECT_EXIT(restoreFrom(path), testing::ExitedWithCode(1),
+                "checkpoint .*restore_missing.*cannot open");
+}
+
+TEST(CkptRestoreDeathTest, TruncatedImageExitsWithDiagnostic)
+{
+    const std::string path = writeValid("restore_trunc");
+    const std::vector<char> whole = slurp(path);
+    // Cut inside the header, so truncation is the first check to fail.
+    dump(path, std::vector<char>(whole.begin(), whole.begin() + 20));
+    EXPECT_EXIT(restoreFrom(path), testing::ExitedWithCode(1),
+                "checkpoint .*restore_trunc.*truncated");
+    std::remove(path.c_str());
 }
 
 }  // namespace

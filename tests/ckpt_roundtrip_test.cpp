@@ -5,9 +5,8 @@
  * The contract under test: a run that checkpoints at cycle C and
  * continues in-process, and a fresh process that restores that file and
  * runs to the end, must produce byte-identical final metrics-snapshot
- * JSON. The matrix covers every manager kind, the serial and sharded
- * engines, and the default pair plus the Trident {4K,64K,2M}+CoLT
- * hierarchy. On top of the differential:
+ * JSON. The matrix covers every manager kind on the default pair and
+ * on the Trident {4K,64K,2M}+CoLT hierarchy. On top of the differential:
  *
  *  - save -> restore -> save must reproduce the checkpoint file byte
  *    for byte (a trigger at-or-before the resume cycle re-saves
@@ -15,8 +14,6 @@
  *  - a two-checkpoint history must be container-independent: the second
  *    file is byte-identical whether the run reached it from the start
  *    or from the first checkpoint;
- *  - checkpoint bytes must be worker-count invariant for the sharded
- *    engine (the quiesce point R is a pure function of queue state);
  *  - the invariant checker must find a clean system after restore;
  *  - a checkpoint at cycle 0 of a prefetching (no-demand-paging) run is
  *    a functional fast-forward seed: it captures the fully-prefetched
@@ -41,7 +38,7 @@
 namespace mosaic {
 namespace {
 
-/** Same pinned cell as shard_test.cpp: two-app het mix, full spine. */
+/** Same pinned cell as golden_test.cpp: two-app het mix, full spine. */
 Workload
 pinnedWorkload()
 {
@@ -90,9 +87,8 @@ snapshot(const SimConfig &config)
 
 /**
  * Mid-run trigger cycle for @p base: half the run length of the
- * unperturbed simulation. Memoized per label (shared across engine
- * variants -- their run lengths differ by at most an epoch-window
- * drift, which half a run absorbs) so each cell pays one probe run.
+ * unperturbed simulation. Memoized per label so each cell pays one
+ * probe run.
  */
 Cycles
 midCycle(const SimConfig &base)
@@ -161,36 +157,12 @@ TEST(CkptRoundTripTest, SerialDefaultPair)
                         std::string("serial_") + cell.name);
 }
 
-TEST(CkptRoundTripTest, ShardedDefaultPair)
-{
-    for (const Cell &cell : managerCells()) {
-        for (const unsigned n : {2u, 8u}) {
-            expectRoundTrip(cell.config.withEngineShards(n),
-                            std::string("sh") + std::to_string(n) + "_" +
-                                cell.name);
-        }
-    }
-}
-
 TEST(CkptRoundTripTest, SerialTridentColt)
 {
     for (const Cell &cell : managerCells())
         expectRoundTrip(cell.config.withSizeHierarchy(tridentSizes(),
                                                       /*colt=*/true),
                         std::string("serial_tri_") + cell.name);
-}
-
-TEST(CkptRoundTripTest, ShardedTridentColt)
-{
-    for (const Cell &cell : managerCells()) {
-        const SimConfig tri =
-            cell.config.withSizeHierarchy(tridentSizes(), /*colt=*/true);
-        for (const unsigned n : {2u, 8u}) {
-            expectRoundTrip(tri.withEngineShards(n),
-                            std::string("sh") + std::to_string(n) +
-                                "_tri_" + cell.name);
-        }
-    }
 }
 
 /** save -> restore -> save reproduces the file byte for byte. */
@@ -231,33 +203,6 @@ TEST(CkptRoundTripTest, CheckpointChainIsHistoryIndependent)
     std::remove(f1.c_str());
     std::remove(f2_direct.c_str());
     std::remove(f2_resumed.c_str());
-}
-
-/**
- * Checkpoint bytes are worker-count invariant: the quiesce point and
- * every serialized figure are pure functions of queue state, never of
- * how many threads executed the lanes.
- */
-TEST(CkptRoundTripTest, ShardedCheckpointBytesAreWorkerCountInvariant)
-{
-    const SimConfig base = pinnedConfig(SimConfig::mosaicDefault());
-    const Cycles c = midCycle(base.withEngineShards(1));
-    std::string reference;
-    for (const unsigned n : {1u, 2u, 8u}) {
-        const std::string path =
-            tempPath("ninv_" + std::to_string(n));
-        snapshot(base.withEngineShards(n).withCheckpointAt(c, path));
-        const std::string bytes = readBytes(path);
-        std::remove(path.c_str());
-        if (n == 1u) {
-            reference = bytes;
-            ASSERT_FALSE(reference.empty());
-            continue;
-        }
-        expectByteEqual(reference, bytes,
-                        "checkpoint bytes at " + std::to_string(n) +
-                            " workers");
-    }
 }
 
 /**

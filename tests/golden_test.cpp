@@ -145,32 +145,6 @@ TEST(GoldenTest, LargeOnlySnapshotMatchesGolden)
 }
 
 /**
- * Sharded-engine goldens (DESIGN.md §12). The sharded engine is a
- * distinct timing model -- completion deliveries drift by at most one
- * epoch window relative to the serial engine -- so it gets its own
- * golden per manager. Worker-count independence (N=1 vs N in {2,4,8})
- * is covered by shard_test.cpp; together with these goldens that pins
- * every shard count to the same recorded truth.
- */
-TEST(GoldenTest, ShardedMosaicSnapshotMatchesGolden)
-{
-    checkGolden(pinnedConfig(SimConfig::mosaicDefault()).withEngineShards(1),
-                "mosaic_sharded");
-}
-
-TEST(GoldenTest, ShardedGpuMmuSnapshotMatchesGolden)
-{
-    checkGolden(pinnedConfig(SimConfig::baseline()).withEngineShards(1),
-                "gpu_mmu_sharded");
-}
-
-TEST(GoldenTest, ShardedLargeOnlySnapshotMatchesGolden)
-{
-    checkGolden(pinnedConfig(SimConfig::largeOnly()).withEngineShards(1),
-                "large_only_sharded");
-}
-
-/**
  * Three-size (Trident) goldens: Mosaic running the {4K,64K,2M}
  * hierarchy, without and with CoLT coalesced base-TLB entries, pins
  * the N-level walker/TLB/tiering machinery to a recorded truth the
@@ -194,10 +168,7 @@ TEST(GoldenTest, TridentColtMosaicSnapshotMatchesGolden)
 
 /**
  * Serial trace golden (DESIGN.md §9): the exported Chrome Trace JSON of
- * a pinned traced run under the classic serial engine, byte-for-byte.
- * This is the contract the per-lane sharded tracing work rides on: the
- * serial export path must stay byte-identical no matter how the merged
- * multi-lane exporter evolves. The pinned cell is smaller than the
+ * a pinned traced run, byte-for-byte. The pinned cell is smaller than the
  * metrics cells (8 SMs, 4 warps) so the full event stream fits the ring
  * with zero drops -- a dropped event would make the document depend on
  * ring capacity instead of simulated behavior.

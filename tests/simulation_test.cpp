@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include "runner/json_report.h"
 #include "runner/report.h"
 #include "runner/simulation.h"
 #include "workload/workload.h"
@@ -98,6 +99,45 @@ TEST(SimulationTest, ChurnProducesAllocationActivity)
     const SimResult steady = runSimulation(w, quiet);
     EXPECT_GT(churned.mm.pagesReleased, steady.mm.pagesReleased);
     EXPECT_GT(churned.mm.regionsReserved, steady.mm.regionsReserved);
+}
+
+/**
+ * Page and Frame channel interleaves send a request to a DRAM channel
+ * other than its L2 bank's congruent one; with churn and pre-
+ * fragmentation on top, the whole system must still retire every
+ * instruction and repeat byte for byte.
+ */
+TEST(SimulationTest, NonDefaultInterleavesUnderChurnAreDeterministic)
+{
+    Workload w = scaledWorkload(heterogeneousWorkload(2, 42), 0.08);
+    for (AppParams &a : w.apps)
+        a.instrPerWarp = 300;
+    for (const ChannelInterleave mode :
+         {ChannelInterleave::Page, ChannelInterleave::Frame}) {
+        SimConfig c = fast(SimConfig::mosaicDefault());
+        c.dram.channelInterleave = mode;
+        c.churn.enabled = true;
+        c.fragmentationIndex = 0.5;
+        c.fragmentationOccupancy = 0.3;
+        const SimResult a = runSimulation(w, c);
+        const SimResult b = runSimulation(w, c);
+        EXPECT_EQ(metricsToJson(a, "mosaic"), metricsToJson(b, "mosaic"));
+        std::uint64_t want = 0;
+        for (std::size_t i = 0; i < w.apps.size(); ++i)
+            want += std::uint64_t(a.apps[i].smCount) *
+                    c.gpu.sm.warpsPerSm * w.apps[i].instrPerWarp;
+        EXPECT_EQ(a.metrics.u64("gpu.sm.instructions"), want);
+    }
+}
+
+/** The sharded engine is gone; asking for it is a named usage error. */
+TEST(SimulationDeathTest, NonZeroEngineShardsIsFatal)
+{
+    SimConfig c = fast(SimConfig::mosaicDefault());
+    c.engineShards = 2;
+    EXPECT_EXIT(runSimulation(smallWorkload("SCP", 1), c),
+                testing::ExitedWithCode(1),
+                "engineShards = 2: the sharded engine was removed");
 }
 
 TEST(SimulationTest, ResultCarriesSubsystemStats)

@@ -12,7 +12,6 @@
 #include "runner/simulation.h"
 #include "runner/sweep.h"
 #include "trace/trace_export.h"
-#include "trace/trace_mux.h"
 #include "trace/trace_reader.h"
 #include "trace/trace_validate.h"
 #include "trace/tracer.h"
@@ -89,6 +88,10 @@ TEST(TracerTest, NextIdIsDeterministic)
     Tracer b(enabledConfig());
     for (int i = 0; i < 5; ++i)
         EXPECT_EQ(a.nextId(), b.nextId());
+    // The sequence is 1, 2, 3, ...
+    Tracer c(enabledConfig());
+    EXPECT_EQ(c.nextId(), 1u);
+    EXPECT_EQ(c.nextId(), 2u);
 }
 
 TEST(TracerTest, DropAccountingChargesOverwrittenCategory)
@@ -111,21 +114,6 @@ TEST(TracerTest, DropAccountingChargesOverwrittenCategory)
     EXPECT_EQ(t.dropped(), 6u);
     EXPECT_EQ(t.droppedInCategory(traceCategoryIndex(kTraceMm)), 4u);
     EXPECT_EQ(t.droppedInCategory(traceCategoryIndex(kTraceVm)), 2u);
-}
-
-TEST(TracerTest, LaneIdTagNamespacesAsyncIds)
-{
-    // Tag 0 (the hub / serial ring) keeps the historical 1,2,3,...
-    // sequence; tagged lanes put their tag at bit 40, below the
-    // TraceIdSpace namespace field, so lanes never collide with each
-    // other or with traceId()-derived ids.
-    Tracer hub(enabledConfig());
-    EXPECT_EQ(hub.nextId(), 1u);
-    EXPECT_EQ(hub.nextId(), 2u);
-    Tracer lane(enabledConfig(), /*idTag=*/3);
-    const std::uint64_t id = lane.nextId();
-    EXPECT_EQ(id, (3ull << 40) | 1u);
-    EXPECT_NE(id, traceId(TraceIdSpace::Walk, 1));
 }
 
 TEST(TracerTest, TraceIdNamespacesNeverCollide)
@@ -248,61 +236,18 @@ TEST(TraceExportTest, LosslessExportOmitsDroppedByCategory)
               std::string::npos);
 }
 
-TEST(TraceMuxTest, SerialMuxMatchesSingleRingByteForByte)
+TEST(TraceExportTest, OrdersByTimeThenRecordOrder)
 {
-    // A serial (smLanes == 0) mux is exactly one ring: every lane
-    // accessor resolves to it and the export delegates to the
-    // single-ring path, so the bytes cannot differ from a bare Tracer.
-    const TraceConfig config = enabledConfig(64);
-    Tracer bare(config);
-    TraceMux mux(config, /*smLanes=*/0);
-    EXPECT_FALSE(mux.sharded());
-    EXPECT_EQ(mux.laneCount(), 1u);
-    EXPECT_EQ(mux.lane(0), mux.hub());
-    EXPECT_EQ(mux.lane(7), mux.hub());
+    // Components that resolve latencies synchronously record some
+    // events ahead of time; the export sorts by timestamp, and events
+    // at one timestamp keep their record order.
+    Tracer t(enabledConfig(64));
+    t.instant(kTraceVm, TraceTrack::Vm, "late", 10);
+    t.instant(kTraceMm, TraceTrack::Mm, "tie-first", 7);
+    t.instant(kTraceVm, TraceTrack::Vm, "tie-second", 7);
+    t.instant(kTraceVm, TraceTrack::Vm, "early", 5);
 
-    const auto record = [](Tracer &t) {
-        t.asyncBegin(kTraceVm, TraceTrack::Vm, "walk", t.nextId(), 5);
-        t.asyncEnd(kTraceVm, TraceTrack::Vm, "walk", 1, 9);
-        t.instant(kTraceMm, TraceTrack::Mm, "x", 12);
-        t.counter("c", 15, 3);
-    };
-    record(bare);
-    record(*mux.lane(3));  // the single ring, via a lane accessor
-    EXPECT_EQ(chromeTraceJson(mux), chromeTraceJson(bare));
-}
-
-TEST(TraceMuxTest, ShardedLanesAreIndependentNamespacedRings)
-{
-    TraceMux mux(enabledConfig(1u << 14), /*smLanes=*/2);
-    EXPECT_TRUE(mux.sharded());
-    EXPECT_EQ(mux.laneCount(), 3u);
-    EXPECT_NE(mux.lane(0), mux.lane(1));
-    EXPECT_NE(mux.hub(), mux.lane(0));
-    // Hub keeps the serial id sequence; lanes tag theirs at bit 40.
-    EXPECT_EQ(mux.hub()->nextId(), 1u);
-    EXPECT_EQ(mux.lane(0)->nextId(), (1ull << 40) | 1u);
-    EXPECT_EQ(mux.lane(1)->nextId(), (2ull << 40) | 1u);
-    // Aggregate accounting sums over every ring.
-    mux.hub()->instant(kTraceMm, TraceTrack::Mm, "h", 1);
-    mux.lane(0)->instant(kTraceVm, TraceTrack::Vm, "a", 2);
-    mux.lane(1)->instant(kTraceVm, TraceTrack::Vm, "b", 3);
-    EXPECT_EQ(mux.size(), 3u);
-    EXPECT_EQ(mux.recorded(), 3u);
-    EXPECT_EQ(mux.dropped(), 0u);
-}
-
-TEST(TraceMuxTest, MergedExportOrdersByTimeThenLane)
-{
-    // Lane events interleave with hub events by timestamp; ties resolve
-    // hub-first then by lane index (the canonical exchange order).
-    TraceMux mux(enabledConfig(1u << 14), /*smLanes=*/2);
-    mux.lane(1)->instant(kTraceVm, TraceTrack::Vm, "sm1", 10);
-    mux.hub()->instant(kTraceMm, TraceTrack::Mm, "hub", 10);
-    mux.lane(0)->instant(kTraceVm, TraceTrack::Vm, "sm0", 10);
-    mux.lane(0)->instant(kTraceVm, TraceTrack::Vm, "early", 5);
-
-    const std::string json = chromeTraceJson(mux);
+    const std::string json = chromeTraceJson(t);
     JsonValue root;
     ASSERT_TRUE(parseJson(json, root, nullptr));
     std::vector<std::string> order;
@@ -315,18 +260,16 @@ TEST(TraceMuxTest, MergedExportOrdersByTimeThenLane)
     }
     ASSERT_EQ(order.size(), 4u);
     EXPECT_EQ(order[0], "early");
-    EXPECT_EQ(order[1], "hub");
-    EXPECT_EQ(order[2], "sm0");
-    EXPECT_EQ(order[3], "sm1");
-    // tid = 16 * lane + track (hub = lane 0, SM i = lane i + 1).
-    EXPECT_EQ(tids[1], 0 * 16 + 3);   // hub, Mm track
-    EXPECT_EQ(tids[2], 1 * 16 + 2);   // sm0, Vm track
-    EXPECT_EQ(tids[3], 2 * 16 + 2);   // sm1, Vm track
+    EXPECT_EQ(order[1], "tie-first");
+    EXPECT_EQ(order[2], "tie-second");
+    EXPECT_EQ(order[3], "late");
+    // tid is the track number.
+    EXPECT_EQ(tids[1], static_cast<double>(TraceTrack::Mm));
+    EXPECT_EQ(tids[2], static_cast<double>(TraceTrack::Vm));
 
     const TraceCheckResult check = validateChromeTraceText(json);
     EXPECT_TRUE(check.ok) << (check.errors.empty() ? ""
                                                    : check.errors.front());
-    EXPECT_EQ(check.lanes, 3u);
 }
 
 TEST(TraceValidateTest, CollectsSpanDurationStats)
@@ -357,16 +300,16 @@ TEST(TraceValidateTest, CollectsSpanDurationStats)
     EXPECT_DOUBLE_EQ(walk.p99, 40.0);
 }
 
-TEST(TraceValidateTest, CatchesAsyncSeriesMigratingLanes)
+TEST(TraceValidateTest, CatchesAsyncSeriesChangingTracks)
 {
-    // An async span that begins on one lane's tid and ends on another's
-    // violates the cross-lane flow contract.
-    TraceMux mux(enabledConfig(1u << 14), /*smLanes=*/2);
+    // An async span that begins on one track's tid and ends on
+    // another's is malformed.
+    Tracer t(enabledConfig(64));
     const auto id = traceId(TraceIdSpace::TlbMiss, 7);
-    mux.lane(0)->asyncBegin(kTraceVm, TraceTrack::Vm, "tlbMiss", id, 10);
-    mux.lane(1)->asyncEnd(kTraceVm, TraceTrack::Vm, "tlbMiss", id, 20);
+    t.asyncBegin(kTraceVm, TraceTrack::Vm, "tlbMiss", id, 10);
+    t.asyncEnd(kTraceVm, TraceTrack::Mm, "tlbMiss", id, 20);
     const TraceCheckResult check =
-        validateChromeTraceText(chromeTraceJson(mux));
+        validateChromeTraceText(chromeTraceJson(t));
     EXPECT_FALSE(check.ok);
     ASSERT_FALSE(check.errors.empty());
     EXPECT_NE(check.errors.front().find("moved from tid"),

@@ -35,7 +35,6 @@
 #include "common/rng.h"
 #include "dram/dram.h"
 #include "engine/event_queue.h"
-#include "engine/sharded_engine.h"
 #include "mm/gpu_mmu_manager.h"
 #include "mm/large_only_manager.h"
 #include "mm/mosaic_manager.h"
@@ -122,7 +121,7 @@ fuzzCheckerConfig()
 }
 
 /**
- * One complete fuzzable system: engine, DRAM, caches, walker,
+ * One complete fuzzable system: event queue, DRAM, caches, walker,
  * translation, manager, page tables, and a shadow checker, built the
  * same way for a fresh run and for a checkpoint-restore twin. Members
  * are heap-held (or the struct itself is) so the cross-references the
@@ -131,8 +130,7 @@ fuzzCheckerConfig()
 struct FuzzSystem
 {
     CacheHierarchyConfig cacheCfg;
-    std::unique_ptr<ShardedEngine> engine;
-    EventQueue serialEvents;
+    EventQueue events;
     DramConfig dramCfg;
     std::unique_ptr<DramModel> dram;
     std::unique_ptr<CacheHierarchy> caches;
@@ -145,34 +143,24 @@ struct FuzzSystem
     std::unique_ptr<RegionPtNodeAllocator> ptAlloc;
     std::vector<std::unique_ptr<PageTable>> tables;
 
-    FuzzSystem(const FuzzConfig &cfg, unsigned shards)
+    explicit FuzzSystem(const FuzzConfig &cfg)
         : checker(fuzzCheckerConfig())
     {
         cacheCfg.numSms = 2;
-        if (shards > 0)
-            engine = std::make_unique<ShardedEngine>(cacheCfg.numSms, shards);
-        LaneRouter *const router = engine.get();
 
         dramCfg.channelInterleave =
             static_cast<ChannelInterleave>(cfg.interleave);
         dramCfg.capacityBytes = 256ull << 20;
-        dram = std::make_unique<DramModel>(events(), dramCfg);
+        dram = std::make_unique<DramModel>(events, dramCfg);
 
-        caches = std::make_unique<CacheHierarchy>(events(), *dram, cacheCfg,
-                                                  nullptr, router);
+        caches = std::make_unique<CacheHierarchy>(events, *dram, cacheCfg);
         WalkerConfig walker_cfg;
-        walker = std::make_unique<PageTableWalker>(events(), *caches,
+        walker = std::make_unique<PageTableWalker>(events, *caches,
                                                    walker_cfg);
         trCfg.sizes = cfg.sizes;
         trCfg.colt = cfg.colt;
         translation = std::make_unique<TranslationService>(
-            events(), *walker, cacheCfg.numSms, trCfg, nullptr, nullptr,
-            router);
-        if (engine != nullptr) {
-            engine->addBarrierHook([t = translation.get()] {
-                t->flushDeferredCheckHooks();
-            });
-        }
+            events, *walker, cacheCfg.numSms, trCfg);
 
         // Oversubscription: the pool holds far fewer frames than the
         // schedule's demand, so OOM, reclaim, compaction, and the
@@ -204,27 +192,17 @@ struct FuzzSystem
             translation->registerApp(static_cast<AppId>(a), *tables.back());
         }
         ManagerEnv env;
-        env.events = &events();
+        env.events = &events;
         env.dram = dram.get();
         env.translation = translation.get();
         env.checker = &checker;
         manager->setEnv(env);
     }
 
-    EventQueue &
-    events()
-    {
-        return engine ? engine->hubQueue() : serialEvents;
-    }
-
     void
     drain()
     {
-        if (engine != nullptr) {
-            engine->drain();
-            return;
-        }
-        while (serialEvents.runOne()) {
+        while (events.runOne()) {
         }
     }
 
@@ -232,15 +210,10 @@ struct FuzzSystem
     void
     saveState(ckpt::Writer &w)
     {
-        w.boolean(engine != nullptr);
-        if (engine != nullptr) {
-            engine->saveState(w);
-        } else {
-            const EventQueue::Clock c = serialEvents.saveClock();
-            w.u64(c.now);
-            w.u64(c.nextSeq);
-            w.u64(c.executed);
-        }
+        const EventQueue::Clock c = events.saveClock();
+        w.u64(c.now);
+        w.u64(c.nextSeq);
+        w.u64(c.executed);
         ptAlloc->saveState(w);
         w.u64(tables.size());
         for (const auto &t : tables)
@@ -256,21 +229,12 @@ struct FuzzSystem
     void
     loadState(ckpt::Reader &r)
     {
-        const bool sharded = r.boolean();
-        if (r.ok() && sharded != (engine != nullptr)) {
-            r.fail("engine mode mismatch");
-            return;
-        }
-        if (engine != nullptr) {
-            engine->loadState(r);
-        } else {
-            EventQueue::Clock c;
-            c.now = r.u64();
-            c.nextSeq = r.u64();
-            c.executed = r.u64();
-            if (r.ok())
-                serialEvents.restoreClock(c);
-        }
+        EventQueue::Clock c;
+        c.now = r.u64();
+        c.nextSeq = r.u64();
+        c.executed = r.u64();
+        if (r.ok())
+            events.restoreClock(c);
         ptAlloc->loadState(r);
         const std::uint64_t n = r.u64();
         if (r.ok() && n != tables.size()) {
@@ -296,9 +260,6 @@ struct FuzzSystem
 /**
  * Executes @p cfg's schedule from scratch and verifies every invariant
  * after every operation. Deterministic: same config, same outcome.
- * @p shards > 0 builds the services over a ShardedEngine (DESIGN.md
- * §12) so the fuzzer exercises the routed translation/cache paths; the
- * invariant verdicts are unchanged because every op fully drains.
  * @p checkpointEvery > 0 additionally round-trips the whole system
  * through the checkpoint serializer every N ops: serialize, restore
  * into a freshly built twin, verify the twin's reseeded shadow checker,
@@ -306,10 +267,9 @@ struct FuzzSystem
  * on the twin.
  */
 RunResult
-runSchedule(const FuzzConfig &cfg, unsigned shards = 0,
-            std::size_t checkpointEvery = 0)
+runSchedule(const FuzzConfig &cfg, std::size_t checkpointEvery = 0)
 {
-    auto sys = std::make_unique<FuzzSystem>(cfg, shards);
+    auto sys = std::make_unique<FuzzSystem>(cfg);
 
     // Reserved pages per (app, slot); 0 = slot free. Ops that do not
     // apply to the current state are skipped (keeps minimized schedules
@@ -400,7 +360,7 @@ runSchedule(const FuzzConfig &cfg, unsigned shards = 0,
             // checker violation (or a divergent verdict) downstream.
             ckpt::Writer w;
             sys->saveState(w);
-            auto fresh = std::make_unique<FuzzSystem>(cfg, shards);
+            auto fresh = std::make_unique<FuzzSystem>(cfg);
             ckpt::Reader r(w.buffer());
             fresh->loadState(r);
             std::string err;
@@ -510,8 +470,7 @@ generate(std::uint64_t seed, std::size_t numOps, const std::string &manager,
  * sizes down to single ops) while the failure persists.
  */
 FuzzConfig
-minimize(const FuzzConfig &failing, unsigned shards,
-         std::size_t checkpointEvery = 0)
+minimize(const FuzzConfig &failing, std::size_t checkpointEvery = 0)
 {
     FuzzConfig best = failing;
     for (std::size_t window = best.ops.size() / 2; window >= 1;
@@ -524,7 +483,7 @@ minimize(const FuzzConfig &failing, unsigned shards,
                 FuzzConfig trial = best;
                 trial.ops.erase(trial.ops.begin() + start,
                                 trial.ops.begin() + start + window);
-                if (runSchedule(trial, shards, checkpointEvery).failed) {
+                if (runSchedule(trial, checkpointEvery).failed) {
                     best = std::move(trial);
                     removed_any = true;
                     break;
@@ -634,9 +593,9 @@ readSchedule(const std::string &path, FuzzConfig &cfg)
 /** Runs one config; on failure minimizes, reports, optionally saves. */
 int
 runAndReport(FuzzConfig cfg, std::uint64_t seed, const std::string &outPath,
-             unsigned shards = 0, std::size_t checkpointEvery = 0)
+             std::size_t checkpointEvery = 0)
 {
-    RunResult r = runSchedule(cfg, shards, checkpointEvery);
+    RunResult r = runSchedule(cfg, checkpointEvery);
     if (!r.failed) {
         std::printf("mosaic_fuzz: OK manager=%s oversub=%d apps=%u "
                     "ops=%zu seed=%llu\n",
@@ -663,7 +622,7 @@ runAndReport(FuzzConfig cfg, std::uint64_t seed, const std::string &outPath,
 
     std::fprintf(stderr, "mosaic_fuzz: minimizing %zu ops...\n",
                  cfg.ops.size());
-    const FuzzConfig minimal = minimize(cfg, shards, checkpointEvery);
+    const FuzzConfig minimal = minimize(cfg, checkpointEvery);
     std::fprintf(stderr, "mosaic_fuzz: minimized to %zu ops:\n",
                  minimal.ops.size());
     std::ostringstream dump;
@@ -685,14 +644,12 @@ usage()
         stderr,
         "usage: mosaic_fuzz [--seed N] [--ops N] [--apps N]\n"
         "                   [--manager mosaic|gpummu|largeonly]\n"
-        "                   [--oversubscribe] [--shards N] [--out FILE]\n"
+        "                   [--oversubscribe] [--out FILE]\n"
         "                   [--sizes LIST] [--colt]\n"
         "                   [--checkpoint-every N]\n"
-        "       mosaic_fuzz --smoke [--seed N] [--ops N] [--shards N]\n"
-        "       mosaic_fuzz --replay FILE [--shards N]\n"
+        "       mosaic_fuzz --smoke [--seed N] [--ops N]\n"
+        "       mosaic_fuzz --replay FILE\n"
         "\n"
-        "--shards N runs the services over the sharded engine with N\n"
-        "worker threads (0 = serial); invariant verdicts are identical.\n"
         "--sizes LIST fuzzes a custom page-size hierarchy (smallest\n"
         "first, e.g. 4K,64K,2M); tiering knobs then derive from a\n"
         "separate hash of the seed, so default-pair schedules are\n"
@@ -715,7 +672,6 @@ main(int argc, char **argv)
     std::uint64_t seed = 1;
     std::size_t ops = 2000;
     unsigned apps = 2;
-    unsigned shards = 0;
     std::string manager = "mosaic";
     bool oversubscribe = false;
     bool smoke = false;
@@ -749,8 +705,6 @@ main(int argc, char **argv)
             ops = static_cast<std::size_t>(u64(0, 1u << 24));
         else if (arg == "--apps")
             apps = static_cast<unsigned>(u64(1, 8));
-        else if (arg == "--shards")
-            shards = static_cast<unsigned>(u64(0, 256));
         else if (arg == "--manager")
             manager = next();
         else if (arg == "--oversubscribe")
@@ -783,8 +737,7 @@ main(int argc, char **argv)
         FuzzConfig cfg;
         if (!readSchedule(replay_path, cfg))
             return 2;
-        return runAndReport(std::move(cfg), seed, out_path, shards,
-                            ckpt_every);
+        return runAndReport(std::move(cfg), seed, out_path, ckpt_every);
     }
 
     if (smoke) {
@@ -793,7 +746,7 @@ main(int argc, char **argv)
             for (const bool over : {false, true}) {
                 FuzzConfig cfg =
                     generate(seed, ops, m, over, apps, sizes, colt);
-                rc |= runAndReport(std::move(cfg), seed, out_path, shards,
+                rc |= runAndReport(std::move(cfg), seed, out_path,
                                    ckpt_every);
             }
         }
@@ -802,5 +755,5 @@ main(int argc, char **argv)
 
     FuzzConfig cfg =
         generate(seed, ops, manager, oversubscribe, apps, sizes, colt);
-    return runAndReport(std::move(cfg), seed, out_path, shards, ckpt_every);
+    return runAndReport(std::move(cfg), seed, out_path, ckpt_every);
 }

@@ -54,9 +54,6 @@ usage()
         "  --colt                 coalesced (CoLT) base-TLB entries\n"
         "  --rr                   round-robin warp scheduler\n"
         "  --seed <n>             simulation seed (default 1)\n"
-        "  --shards <n>           run the sharded engine with <n> worker\n"
-        "                         threads (default 0 = serial engine;\n"
-        "                         env MOSAIC_SIM_SHARDS also works)\n"
         "  --weighted-speedup     also run per-app alone baselines\n"
         "  --json                 emit the result as JSON instead of text\n"
         "  --metrics-json <path>  write the full metrics registry snapshot\n"
@@ -105,7 +102,6 @@ main(int argc, char **argv)
     std::string sizes_spec;
     bool colt = false;
     std::uint64_t seed = 1;
-    unsigned shards = 0;
     bool weighted = false;
     bool json = false;
     std::string metrics_json_path;
@@ -203,8 +199,6 @@ main(int argc, char **argv)
             rr = true;
         } else if (match(a, "--seed")) {
             seed = u64("--seed", 0, UINT64_MAX);
-        } else if (match(a, "--shards")) {
-            shards = static_cast<unsigned>(u64("--shards", 0, 256));
         } else if (match(a, "--weighted-speedup")) {
             weighted = true;
         } else if (match(a, "--json")) {
@@ -265,7 +259,8 @@ main(int argc, char **argv)
         const auto colon = rest.find(':');
         std::uint64_t n = 0;
         if (!parseFlagU64("--workload het count",
-                          rest.substr(0, colon).c_str(), 1, 1024, &n))
+                          rest.substr(0, colon).c_str(), 1,
+                          appCatalog().size(), &n))
             return 1;
         std::uint64_t wseed = 42;
         if (colon != std::string::npos &&
@@ -326,8 +321,6 @@ main(int argc, char **argv)
         config = config.withSizeHierarchy(hierarchy, colt);
     }
     config.seed = seed;
-    if (shards > 0)
-        config = config.withEngineShards(shards);
     if (metrics_sample > 0)
         config = config.withMetricsSampling(metrics_sample);
     if (!trace_categories_spec.empty() && trace_out_path.empty()) {

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """CI perf smoke: sanity-check benchmark JSON and print/gate deltas.
 
-Usage: perf_smoke_delta.py [--fail-below PCT] [--shard-json FILE]
+Usage: perf_smoke_delta.py [--fail-below PCT]
                            BENCH_hotpath.json NAME=RESULT.json [...]
 
 Each RESULT.json is a google-benchmark --benchmark_format=json output;
@@ -16,11 +16,6 @@ fails the run. The tolerance should stay generous (50+): CI machines
 differ wildly from the machine that produced the committed numbers, so
 the gate only catches order-of-magnitude collapses, not few-percent
 drift. Without the flag, deltas are informational as before.
-
---shard-json FILE validates a BENCH_shard.json produced by
-bench/shard_scaling (schema + positive throughput per run) and prints
-the scaling curve. The speedup column is informational: it is only
-meaningful when the recorded host_cores covers the worker count.
 """
 
 import argparse
@@ -45,29 +40,6 @@ def load_items(path):
     return items
 
 
-def check_shard_json(path):
-    with open(path) as f:
-        data = json.load(f)
-    runs = data.get("runs", [])
-    if not runs:
-        sys.exit(f"{path}: no runs recorded -- shard_scaling did not run?")
-    cores = data.get("host_cores", 0)
-    print(f"== shard scaling ({path}, host_cores={cores}) ==")
-    for run in runs:
-        for key in ("shards", "wall_seconds", "sim_cycles_per_second"):
-            if key not in run:
-                sys.exit(f"{path}: run record missing '{key}'")
-        if not run["sim_cycles_per_second"] > 0:
-            sys.exit(f"{path}: shards={run['shards']} reports no throughput")
-        meaningful = cores >= max(1, run["shards"])
-        print(
-            f"  shards={run['shards']}: {run['wall_seconds']:.3f}s wall, "
-            f"{run['sim_cycles_per_second']:.3g} sim cycles/s, "
-            f"speedup {run.get('speedup_vs_serial', 0):.2f}x"
-            + ("" if meaningful else " (host has too few cores; informational)")
-        )
-
-
 def main(argv):
     parser = argparse.ArgumentParser(
         description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
@@ -75,8 +47,6 @@ def main(argv):
     parser.add_argument("--fail-below", type=float, default=None, metavar="PCT",
                         help="fail if a bench is more than PCT%% below its "
                              "committed reference (keep generous, e.g. 75)")
-    parser.add_argument("--shard-json", default=None, metavar="FILE",
-                        help="validate and print a BENCH_shard.json scaling curve")
     parser.add_argument("reference", help="committed reference JSON (BENCH_hotpath.json)")
     parser.add_argument("specs", nargs="*", metavar="NAME=RESULT.json")
     args = parser.parse_args(argv[1:])
@@ -100,9 +70,6 @@ def main(argv):
                                     f"(limit -{args.fail_below:.0f}%)")
             else:
                 print(f"  {bench}: {rate:.3e} items/s (no committed reference)")
-
-    if args.shard_json:
-        check_shard_json(args.shard_json)
 
     if failures:
         for f in failures:

@@ -27,11 +27,6 @@ for b in "$build_dir"/bench/*; do
     micro_*)
         "$b" --benchmark_min_time=0.05 >> "$out" 2>&1
         ;;
-    shard_scaling)
-        # Writes the sharded-engine scaling curve next to the committed
-        # baseline; refresh the checked-in copy from a Release build.
-        "$b" BENCH_shard.json >> "$out"
-        ;;
     *)
         "$b" >> "$out"
         ;;

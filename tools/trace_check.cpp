@@ -7,7 +7,7 @@
  *
  * Exits 0 when every invariant holds (see trace/trace_validate.h for
  * the list: document shape, frame-lifecycle state machine, async span
- * integrity, lane/track metadata, per-category drop accounting,
+ * integrity, track metadata, per-category drop accounting,
  * counter-vs-event cross-checks), non-zero otherwise. With --stats,
  * also prints per-span-name duration statistics (count, mean,
  * p50/p95/p99, max in simulated cycles).
@@ -70,12 +70,12 @@ main(int argc, char **argv)
         for (const std::string &n : r.notes)
             std::printf("note: %s\n", n.c_str());
         std::printf(
-            "%s: %llu events (%llu dropped) on %u lanes, %llu walk spans, "
+            "%s: %llu events (%llu dropped), %llu walk spans, "
             "%llu frame lifecycles (%llu complete), "
             "%llu coalesces / %llu splinters / %llu compactions, "
             "%llu violations, %llu counter samples, %llu open spans\n",
             path, static_cast<unsigned long long>(r.events),
-            static_cast<unsigned long long>(r.dropped), r.lanes,
+            static_cast<unsigned long long>(r.dropped),
             static_cast<unsigned long long>(r.walkSpans),
             static_cast<unsigned long long>(r.frameLifecycles),
             static_cast<unsigned long long>(r.completeLifecycles),
