@@ -130,6 +130,17 @@ class PageSizeHierarchy
     /** log2 of the top-level (frame) size. */
     constexpr unsigned topBits() const { return bits_[numLevels_ - 1]; }
 
+    /**
+     * True when at least one larger size sits above the base and the top
+     * level is the FramePool's 2MB frame: the shape the Mosaic and
+     * 2MB-only managers need, since both map whole frames at the top.
+     */
+    constexpr bool
+    frameSizedTop() const
+    {
+        return numLevels_ >= 2 && topBits() == kLargePageBits;
+    }
+
     /** Pages of level @p level per page of level @p level + 1. */
     constexpr std::uint64_t
     slotsPerParent(unsigned level) const

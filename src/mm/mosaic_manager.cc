@@ -14,8 +14,7 @@ MosaicManager::MosaicManager(Addr poolBase, std::uint64_t poolBytes,
 {
     // CoCoA's frame math is tied to the FramePool's 2MB frames: the
     // hierarchy's top level must be the frame size.
-    MOSAIC_ASSERT(config_.sizes.numLevels() >= 2 &&
-                      config_.sizes.topBits() == kLargePageBits,
+    MOSAIC_ASSERT(config_.sizes.frameSizedTop(),
                   "Mosaic needs a frame-sized top level");
 }
 

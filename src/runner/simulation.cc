@@ -319,7 +319,7 @@ runSimulation(const Workload &workload, const SimConfig &config)
     EventQueue events;
     // Capacity hint: roughly one in-flight event per warp plus headroom
     // for walks, DRAM transactions, and paging transfers. Avoids the
-    // heap's doubling reallocations during warm-up.
+    // slab's and overflow heap's doubling reallocations during warm-up.
     events.reserve(static_cast<std::size_t>(config.gpu.numSms) *
                        config.gpu.sm.warpsPerSm * 2 +
                    1024);

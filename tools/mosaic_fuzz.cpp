@@ -101,6 +101,14 @@ makeManager(const FuzzConfig &cfg, Addr poolBase, std::uint64_t poolBytes,
     return std::make_unique<GpuMmuManager>(poolBase, poolBytes);
 }
 
+/** Mosaic and 2MB-only map whole 2MB frames at the top level; GPU-MMU
+ *  runs any hierarchy. */
+bool
+frameSizesFit(const std::string &manager, const PageSizeHierarchy &sizes)
+{
+    return manager == "gpummu" || sizes.frameSizedTop();
+}
+
 /** Result of executing one schedule. */
 struct RunResult
 {
@@ -573,6 +581,14 @@ readSchedule(const std::string &path, FuzzConfig &cfg)
                 cfg.colt = val != "0";
         }
     }
+    if (!frameSizesFit(cfg.manager, cfg.sizes)) {
+        std::fprintf(stderr,
+                     "mosaic_fuzz: %s: sizes=%s: manager '%s' needs a 2M "
+                     "top level\n",
+                     path.c_str(), cfg.sizes.toString().c_str(),
+                     cfg.manager.c_str());
+        return false;
+    }
     while (std::getline(in, line)) {
         if (line.empty())
             continue;
@@ -677,6 +693,7 @@ main(int argc, char **argv)
     bool smoke = false;
     std::string replay_path;
     std::string out_path;
+    std::string sizes_spec;
     PageSizeHierarchy sizes;
     bool colt = false;
     std::size_t ckpt_every = 0;
@@ -716,7 +733,8 @@ main(int argc, char **argv)
         else if (arg == "--out")
             out_path = next();
         else if (arg == "--sizes") {
-            if (!PageSizeHierarchy::parse(next(), sizes)) {
+            sizes_spec = next();
+            if (!PageSizeHierarchy::parse(sizes_spec, sizes)) {
                 std::fprintf(stderr, "mosaic_fuzz: bad --sizes spec\n");
                 return 2;
             }
@@ -732,6 +750,15 @@ main(int argc, char **argv)
         return usage();
     if (apps == 0 || apps > 8)
         return usage();
+    // --smoke runs every manager, so it needs what Mosaic needs.
+    const std::string &checked = smoke ? std::string("mosaic") : manager;
+    if (!frameSizesFit(checked, sizes)) {
+        std::fprintf(stderr,
+                     "flag --sizes: invalid value '%s' (manager '%s' needs "
+                     "a 2M top level, e.g. 4K,2M)\n",
+                     sizes_spec.c_str(), checked.c_str());
+        return 2;
+    }
 
     if (!replay_path.empty()) {
         FuzzConfig cfg;
