@@ -27,7 +27,10 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
+#include "ckpt/checkpoint.h"
 #include "runner/json_report.h"
 #include "runner/simulation.h"
 #include "trace/trace_export.h"
@@ -202,6 +205,69 @@ TEST(GoldenTest, SerialTraceMatchesGolden)
     // Matches what writeChromeTraceFile() emits (document + newline).
     checkGoldenDocument(chromeTraceJson(*r.trace, "Mosaic") + "\n",
                         "trace_serial");
+}
+
+/**
+ * Checkpoint-image goldens (DESIGN.md §14): the size and FNV-1a digest
+ * of the image each pinned cell writes at its first quiesce point at or
+ * after cycle 20000, one line per cell in ckpt_images.txt. This pins
+ * every serialized byte -- section order, component state layout, the
+ * event-queue clocks -- across commits, so a refactor of the assembly
+ * or the serializers must leave the images bit-for-bit unchanged. The
+ * churn cell starts from a pool pre-fragmented as `--frag 0.95 --occ
+ * 0.25` does, and ticks every 5000 cycles, so by the checkpoint the runner
+ * section already carries an advanced churn RNG and rebased buffers.
+ */
+std::vector<std::pair<std::string, SimConfig>>
+checkpointCells()
+{
+    SimConfig churn = pinnedConfig(SimConfig::mosaicDefault());
+    churn.fragmentationIndex = 0.95;
+    churn.fragmentationOccupancy = 0.25;
+    churn.churn.enabled = true;
+    churn.churn.periodCycles = 5000;
+    return {
+        {"mosaic", pinnedConfig(SimConfig::mosaicDefault())},
+        {"gpu_mmu", pinnedConfig(SimConfig::baseline())},
+        {"large_only", pinnedConfig(SimConfig::largeOnly())},
+        {"mosaic_trident_colt",
+         pinnedConfig(SimConfig::mosaicDefault())
+             .withSizeHierarchy(PageSizeHierarchy::trident(),
+                                /*colt=*/true)},
+        {"mosaic_frag_churn", churn},
+    };
+}
+
+TEST(GoldenTest, CheckpointImagesMatchGolden)
+{
+    std::string doc;
+    for (const auto &[name, config] : checkpointCells()) {
+        const std::string path =
+            testing::TempDir() + "mosaic_golden_" + name + ".ckpt";
+        runSimulation(pinnedWorkload(), config.withCheckpointAt(20000, path));
+        const std::string image = readFile(path);
+        std::remove(path.c_str());
+        ASSERT_FALSE(image.empty()) << name << ": no image at " << path;
+        char line[128];
+        std::snprintf(line, sizeof(line), "%s %zu %016llx\n", name.c_str(),
+                      image.size(),
+                      static_cast<unsigned long long>(ckpt::fnv1a(image)));
+        doc += line;
+    }
+
+    const std::string path = goldenDir() + "/ckpt_images.txt";
+    if (std::getenv("MOSAIC_UPDATE_GOLDEN") != nullptr) {
+        std::ofstream out(path, std::ios::binary);
+        ASSERT_TRUE(out.good()) << "cannot write " << path;
+        out << doc;
+        std::printf("golden updated: %s\n", path.c_str());
+        return;
+    }
+    const std::string golden = readFile(path);
+    ASSERT_FALSE(golden.empty())
+        << "missing golden file " << path
+        << " (generate with MOSAIC_UPDATE_GOLDEN=1)";
+    EXPECT_EQ(doc, golden) << "checkpoint image bytes drifted from " << path;
 }
 
 /**
