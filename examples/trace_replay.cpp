@@ -53,7 +53,9 @@ main(int argc, char **argv)
                 static_cast<unsigned long long>(
                     trace->totalInstructions()));
 
-    // Assemble the system by hand (what runSimulation() does for you).
+    // Assemble the system by hand, to show the low-level API: the
+    // runner's System (src/runner/system.h) builds this stack, plus the
+    // registry, manager environment and checker, from a SimConfig.
     EventQueue events;
     DramModel dram(events, DramConfig{});
     CacheHierarchyConfig cache_cfg;

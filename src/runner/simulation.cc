@@ -3,20 +3,16 @@
 #include <algorithm>
 #include <array>
 #include <cstdio>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <utility>
 
-#include "cache/hierarchy.h"
-#include "check/invariant_checker.h"
 #include "ckpt/checkpoint.h"
 #include "ckpt/serde.h"
-#include "engine/event_queue.h"
-#include "iobus/demand_paging.h"
-#include "mm/gpu_mmu_manager.h"
-#include "mm/large_only_manager.h"
 #include "mm/mosaic_manager.h"
+#include "runner/system.h"
 #include "trace/tracer.h"
 #include "workload/access_pattern.h"
 #include "workload/metrics.h"
@@ -29,7 +25,8 @@ namespace {
 struct AppCtx
 {
     AppParams params;
-    std::unique_ptr<PageTable> pageTable;
+    /** The application's page table, owned by the System. */
+    PageTable *pageTable = nullptr;
     std::unique_ptr<AppLayout> layout;
     unsigned smCount = 0;
     std::vector<SmId> sms;
@@ -40,21 +37,6 @@ struct AppCtx
     /** Bump pointer for fresh virtual regions under allocation churn. */
     Addr nextChurnVa = 0;
 };
-
-std::unique_ptr<MemoryManager>
-makeManager(const SimConfig &config, Addr poolBase, std::uint64_t poolBytes)
-{
-    switch (config.manager) {
-    case ManagerKind::Mosaic:
-        return std::make_unique<MosaicManager>(poolBase, poolBytes,
-                                               config.mosaic);
-    case ManagerKind::LargeOnly:
-        return std::make_unique<LargeOnlyManager>(poolBase, poolBytes);
-    case ManagerKind::GpuMmu:
-    default:
-        return std::make_unique<GpuMmuManager>(poolBase, poolBytes);
-    }
-}
 
 /**
  * Derives the legacy SimResult scalar fields from the metrics snapshot.
@@ -137,21 +119,8 @@ sampleCounterTracks(Tracer &tracer, StatsRegistry &registry, Cycles now)
     }
 }
 
-/**
- * Checkpoint payload section tags (DESIGN.md §14). Each component's
- * state is framed by one so a truncated or misaligned image fails with
- * a named location instead of silently misreading bytes.
- */
-constexpr std::uint32_t kSecEngine = 0x454E4731;  // "ENG1"
-constexpr std::uint32_t kSecVm = 0x50544231;      // "PTB1"
-constexpr std::uint32_t kSecMm = 0x4D4D4731;      // "MMG1"
-constexpr std::uint32_t kSecXlat = 0x544C4231;    // "TLB1"
-constexpr std::uint32_t kSecWalker = 0x574C4B31;  // "WLK1"
-constexpr std::uint32_t kSecCache = 0x43414331;   // "CAC1"
-constexpr std::uint32_t kSecDram = 0x44524D31;    // "DRM1"
-constexpr std::uint32_t kSecPcie = 0x50434531;    // "PCE1"
-constexpr std::uint32_t kSecPager = 0x50475231;   // "PGR1"
-constexpr std::uint32_t kSecGpu = 0x47505531;     // "GPU1"
+/** Checkpoint section tag of the runner's own state, written after
+ *  the System's component sections (DESIGN.md §14). */
 constexpr std::uint32_t kSecRunner = 0x524E5231;  // "RNR1"
 
 /**
@@ -279,21 +248,39 @@ configFingerprint(const Workload &workload, const SimConfig &config)
     return ckpt::fnv1a(s);
 }
 
+/**
+ * A periodic self-rescheduling tick: allocation churn, the metrics
+ * sampler, trace counter tracks. arm() is its one scheduling site: the
+ * first tick, every self-reschedule and the re-arm after a quiesce
+ * point. While the runner quiesces a pending tick does no work, draws
+ * no randomness and does not reschedule, so the drain terminates and
+ * the re-arm rebuilds the chain identically after an in-process save
+ * and after a restore.
+ */
+struct PeriodicTick
+{
+    EventQueue &events;
+    const Cycles period;
+    const bool &quiescing;
+    /** One tick's work; returns whether to tick again. */
+    std::function<bool()> body;
+
+    /** Schedules the next tick one period after @p from. */
+    void
+    arm(Cycles from)
+    {
+        events.schedule(from + period, [this] {
+            if (!quiescing && body())
+                arm(events.now());
+        });
+    }
+};
+
 }  // namespace
 
 SimResult
 runSimulation(const Workload &workload, const SimConfig &config)
 {
-    if (config.engineShards != 0) {
-        MOSAIC_FATAL("engineShards = " +
-                     std::to_string(config.engineShards) +
-                     ": the sharded engine was removed; leave it at 0");
-    }
-    // The registry outlives every component (declared first) so the
-    // components can bind their counters into it at construction; it is
-    // private to this simulation per the DESIGN.md §7 contract.
-    StatsRegistry registry;
-
     // Checkpoint restore (DESIGN.md §14): read and validate the image
     // up front -- before any component exists -- so a bad file fails
     // fast with a diagnostic; the payload is applied after assembly.
@@ -309,102 +296,40 @@ runSimulation(const Workload &workload, const SimConfig &config)
     }
 
     // Optional event tracer, private to this simulation like the
-    // registry (shared_ptr only so SimResult can carry it out).
-    // Components take a plain `Tracer *`; null means no tracing.
+    // system's registry (shared_ptr only so SimResult can carry it
+    // out). Components take a plain `Tracer *`; null means no tracing.
     std::shared_ptr<Tracer> tracer;
     if (config.trace.enabled)
         tracer = std::make_shared<Tracer>(config.trace);
     Tracer *const tr = tracer.get();
 
-    EventQueue events;
-    // Capacity hint: roughly one in-flight event per warp plus headroom
-    // for walks, DRAM transactions, and paging transfers. Avoids the
-    // slab's and overflow heap's doubling reallocations during warm-up.
-    events.reserve(static_cast<std::size_t>(config.gpu.numSms) *
-                       config.gpu.sm.warpsPerSm * 2 +
-                   1024);
-    DramModel dram(events, config.dram, &registry, tr);
-
-    CacheHierarchyConfig cache_cfg = config.caches;
-    cache_cfg.numSms = config.gpu.numSms;
-    CacheHierarchy caches(events, dram, cache_cfg, &registry);
-
-    PageTableWalker walker(events, caches, config.walker, &registry, tr);
-    TranslationService translation(events, walker, config.gpu.numSms,
-                                   config.translation, &registry, tr);
-    PcieBus pcie(events, config.pcie, &registry, tr);
-
-    // Physical layout: frames from address 0; page-table nodes in a
-    // dedicated pool at the top of memory.
-    const std::uint64_t pool_bytes = roundDown(
-        config.dram.capacityBytes - config.pageTablePoolBytes,
-        kLargePageSize);
-    auto manager = makeManager(config, 0, pool_bytes);
-    manager->registerMetrics(registry);
-    RegionPtNodeAllocator pt_alloc(pool_bytes, config.pageTablePoolBytes);
-
-    // Optional shadow-model invariant checker (DESIGN.md §10). Strictly
-    // observation-only: it binds nothing into the registry, schedules no
-    // events, and only reads through const probes, so the SimResult is
-    // byte-identical with checks on or off. Declared before the page
-    // tables below so it outlives their raw observer pointers.
-    std::unique_ptr<InvariantChecker> checker;
-    if (config.invariantChecks.enabled) {
-        InvariantChecker::Config cc;
-        cc.fullSweepEvery = config.invariantChecks.fullSweepEvery;
-        cc.abortOnViolation = config.invariantChecks.abortOnViolation;
-        checker = std::make_unique<InvariantChecker>(cc);
-        checker->attachManager(manager.get());
-        checker->attachTranslation(&translation);
-        checker->attachDram(&dram);
-        if (config.manager == ManagerKind::Mosaic) {
-            checker->attachMosaicState(
-                &static_cast<MosaicManager *>(manager.get())->state());
-            checker->attachCacConfig(&config.mosaic.cac);
-        }
-        translation.setChecker(checker.get());
-    }
-
-    Gpu gpu(events, config.gpu, &registry);
-    ManagerEnv env;
-    env.events = &events;
-    env.dram = &dram;
-    env.translation = &translation;
-    env.tracer = tr;
-    env.stallGpu = [&gpu](Cycles d) { gpu.stallAll(d); };
-    env.checker = checker.get();
-    manager->setEnv(env);
+    System sys(config, static_cast<unsigned>(workload.apps.size()), tr);
+    EventQueue &events = sys.events;
+    Gpu &gpu = sys.gpu;
+    MemoryManager &manager = *sys.manager;
 
     // Restored runs skip fragmentation injection: the pool arrives in
     // its already-fragmented checkpointed state.
     if (!restoring && config.manager == ManagerKind::Mosaic &&
         config.fragmentationIndex > 0.0) {
-        static_cast<MosaicManager *>(manager.get())
-            ->injectFragmentation(config.fragmentationIndex,
-                                  config.fragmentationOccupancy,
-                                  config.seed * 7919 + 13);
+        static_cast<MosaicManager &>(manager).injectFragmentation(
+            config.fragmentationIndex, config.fragmentationOccupancy,
+            config.seed * 7919 + 13);
     }
 
-    // Instantiate the applications: page tables, virtual layouts, and
-    // the en masse region reservations.
+    // Instantiate the applications' virtual layouts and the en masse
+    // region reservations.
     std::vector<std::unique_ptr<AppCtx>> apps;
     for (std::size_t i = 0; i < workload.apps.size(); ++i) {
         auto ctx = std::make_unique<AppCtx>();
         ctx->params = workload.apps[i];
-        ctx->pageTable = std::make_unique<PageTable>(
-            static_cast<AppId>(i), pt_alloc, config.translation.sizes);
+        ctx->pageTable = sys.pageTables[i].get();
         ctx->layout = std::make_unique<AppLayout>(
             ctx->params, (static_cast<Addr>(i) + 1) << 40);
         // Churned replacement buffers grow upward from half-way through
         // the application's 1TB address slice.
         ctx->nextChurnVa = ((static_cast<Addr>(i) + 1) << 40) +
                            (1ull << 39);
-        if (checker != nullptr)
-            checker->observePageTable(*ctx->pageTable);
-        manager->registerApp(static_cast<AppId>(i), *ctx->pageTable);
-        // Sizes every per-SM stat slice for this app up front, which is
-        // the layout checkpoint images record.
-        translation.registerApp(static_cast<AppId>(i), *ctx->pageTable);
         apps.push_back(std::move(ctx));
     }
     // Restored runs skip the en masse reservations too: region state
@@ -412,12 +337,10 @@ runSimulation(const Workload &workload, const SimConfig &config)
     if (!restoring) {
         for (auto &ctx : apps) {
             for (const auto &buf : ctx->layout->buffers())
-                manager->reserveRegion(ctx->pageTable->appId(), buf.va,
-                                       buf.bytes);
+                manager.reserveRegion(ctx->pageTable->appId(), buf.va,
+                                      buf.bytes);
         }
     }
-
-    DemandPager pager(events, pcie, *manager, &registry, tr);
 
     // Carve the SMs into equal per-application partitions and populate
     // each SM with this application's warps.
@@ -431,6 +354,7 @@ runSimulation(const Workload &workload, const SimConfig &config)
     std::uint64_t peak_allocated = 0;
     std::uint64_t peak_holes = 0;
     unsigned apps_remaining = static_cast<unsigned>(apps.size());
+    auto *const mosaic = dynamic_cast<MosaicManager *>(&manager);
 
     for (std::size_t i = 0; i < apps.size(); ++i) {
         AppCtx &app = *apps[i];
@@ -440,23 +364,23 @@ runSimulation(const Workload &workload, const SimConfig &config)
 
         for (unsigned local = 0; local < app.smCount; ++local) {
             AppCtx *app_ptr = &app;
-            auto finish = [app_ptr, manager = manager.get(),
-                           &peak_allocated, &peak_holes, &apps_remaining,
-                           &all_finished, &end_cycle, &events] {
+            auto finish = [app_ptr, &manager, mosaic, &peak_allocated,
+                           &peak_holes, &apps_remaining, &all_finished,
+                           &end_cycle, &events] {
                 if (++app_ptr->smsDone < app_ptr->smCount)
                     return;
                 app_ptr->finished = true;
                 app_ptr->finishAt = events.now();
                 peak_allocated = std::max(peak_allocated,
-                                          manager->allocatedBytes());
-                if (auto *m = dynamic_cast<MosaicManager *>(manager)) {
+                                          manager.allocatedBytes());
+                if (mosaic != nullptr) {
                     peak_holes = std::max(peak_holes,
-                                          m->coalescedHoleBytes());
+                                          mosaic->coalescedHoleBytes());
                 }
                 // The application deallocates en masse on completion.
                 for (const auto &buf : app_ptr->layout->buffers()) {
-                    manager->releaseRegion(app_ptr->pageTable->appId(),
-                                           buf.va, buf.bytes);
+                    manager.releaseRegion(app_ptr->pageTable->appId(),
+                                          buf.va, buf.bytes);
                 }
                 if (--apps_remaining == 0) {
                     all_finished = true;
@@ -464,8 +388,9 @@ runSimulation(const Workload &workload, const SimConfig &config)
                 }
             };
             const SmId sm_id = gpu.createSm(
-                *app.pageTable, translation, caches,
-                config.demandPaging ? &pager : nullptr, std::move(finish));
+                *app.pageTable, sys.translation, sys.caches,
+                config.demandPaging ? &sys.pager : nullptr,
+                std::move(finish));
             app.sms.push_back(sm_id);
 
             for (unsigned w = 0; w < warps_per_sm; ++w) {
@@ -477,13 +402,7 @@ runSimulation(const Workload &workload, const SimConfig &config)
         }
     }
 
-    // Checkpoint schedule, processed in ascending trigger order. The
-    // `quiescing` flag gates every periodic self-rescheduling tick
-    // (allocation churn, metrics sampler, trace counters): during a
-    // quiesce drain a pending tick must do no work, draw no
-    // randomness, and not reschedule itself, so the drain terminates
-    // and the re-arm below rebuilds the tick chains identically after
-    // an in-process save and after a restore.
+    // Checkpoint schedule, processed in ascending trigger order.
     std::vector<std::pair<Cycles, std::string>> ckpt_schedule =
         config.ckpt.checkpoints;
     std::stable_sort(
@@ -511,7 +430,7 @@ runSimulation(const Workload &workload, const SimConfig &config)
             app_ptr->prefetchesPending =
                 static_cast<unsigned>(ctx->layout->buffers().size());
             for (const auto &buf : ctx->layout->buffers()) {
-                pager.prefetchRegion(
+                sys.pager.prefetchRegion(
                     *ctx->pageTable, buf.va, buf.bytes,
                     config.chargePrefetchBus,
                     [app_ptr, &gpu, &events] {
@@ -524,6 +443,17 @@ runSimulation(const Workload &workload, const SimConfig &config)
         }
     }
 
+    // The periodic ticks, in arming order. A fresh run arms each at
+    // cycle 0 as it is created; a restored run arms them at the resume
+    // cycle, in the same order, through rearm() below.
+    std::vector<std::unique_ptr<PeriodicTick>> ticks;
+    const auto add_tick = [&](Cycles period, std::function<bool()> body) {
+        ticks.push_back(std::make_unique<PeriodicTick>(
+            PeriodicTick{events, period, quiescing, std::move(body)}));
+        if (!restoring)
+            ticks.back()->arm(0);
+    };
+
     // Allocation churn (Fig. 16 / Table 2 stress): periodically an
     // application replaces one of its buffers -- the old region is
     // deallocated en masse and a fresh virtual region of the same size
@@ -533,20 +463,16 @@ runSimulation(const Workload &workload, const SimConfig &config)
     // directly affects performance. Additionally, a random slice of
     // another buffer is released to create the internal fragmentation
     // CAC exists to clean up.
-    std::function<void()> churn_tick;
     Rng churn_rng(config.seed * 31 + 7);
     if (config.churn.enabled) {
-        churn_tick = [&apps, &manager, &events, &config, &churn_rng,
-                      &quiescing, &churn_tick] {
-            if (quiescing)
-                return;  // draining; the checkpoint re-arm reschedules
+        add_tick(config.churn.periodCycles, [&] {
             std::vector<AppCtx *> live;
             for (auto &ctx : apps) {
                 if (!ctx->finished && !ctx->layout->buffers().empty())
                     live.push_back(ctx.get());
             }
             if (live.empty())
-                return;  // every application retired; stop ticking
+                return false;  // every application retired; stop ticking
             AppCtx &app = *live[churn_rng.below(live.size())];
             const AppId id = app.pageTable->appId();
             const auto &bufs = app.layout->buffers();
@@ -554,12 +480,12 @@ runSimulation(const Workload &workload, const SimConfig &config)
             // (1) Replace a random buffer at a fresh virtual address.
             const std::size_t victim = churn_rng.below(bufs.size());
             const auto &buf = bufs[victim];
-            manager->releaseRegion(id, buf.va, buf.bytes);
+            manager.releaseRegion(id, buf.va, buf.bytes);
             const Addr new_va = app.nextChurnVa;
             app.nextChurnVa += roundUp(buf.bytes, kLargePageSize) +
                                kLargePageSize;
             app.layout->rebaseBuffer(victim, new_va);
-            manager->reserveRegion(id, new_va, buf.bytes);
+            manager.reserveRegion(id, new_va, buf.bytes);
 
             // (2) Fragment another buffer: release a random slice of it
             // (scratch data freed mid-kernel).
@@ -572,34 +498,29 @@ runSimulation(const Workload &workload, const SimConfig &config)
                 const Addr start = frag_buf.va + roundDown(
                     churn_rng.below(frag_buf.bytes - slice),
                     kBasePageSize);
-                manager->releaseRegion(id, start, slice);
+                manager.releaseRegion(id, start, slice);
             }
-
-            events.scheduleAfter(config.churn.periodCycles,
-                                 [&churn_tick] { churn_tick(); });
-        };
-        if (!restoring) {
-            events.scheduleAfter(config.churn.periodCycles,
-                                 [&churn_tick] { churn_tick(); });
-        }
+            return true;
+        });
     }
 
     // Runner-owned metrics: values that only the harness can see (peak
     // trackers, demand totals). Everything else registered itself at
     // component construction.
+    StatsRegistry &registry = sys.registry;
     registry.bindCounterFn("sim.cycles",
                            [&events, &all_finished, &end_cycle] {
                                return all_finished ? end_cycle
                                                    : events.now();
                            });
     registry.bindCounterFn("mm.peakAllocatedBytes",
-                           [&peak_allocated, m = manager.get()] {
+                           [&peak_allocated, &manager] {
                                return std::max(peak_allocated,
-                                               m->allocatedBytes());
+                                               manager.allocatedBytes());
                            });
     registry.bindCounterFn(
-        "mm.mosaic.peakCoalescedHoleBytes", [&peak_holes, m = manager.get()] {
-            if (auto *mosaic = dynamic_cast<MosaicManager *>(m))
+        "mm.mosaic.peakCoalescedHoleBytes", [&peak_holes, mosaic] {
+            if (mosaic != nullptr)
                 return std::max(peak_holes, mosaic->coalescedHoleBytes());
             return peak_holes;
         });
@@ -617,90 +538,36 @@ runSimulation(const Workload &workload, const SimConfig &config)
     // over a run. Snapshot events never mutate simulator state, so the
     // simulated outcome is identical with sampling on or off.
     std::vector<MetricsSnapshot> samples;
-    // The tick closure outlives the event loop below, so pending events
-    // may capture it by reference; callbacks only fire inside that loop.
-    std::function<void()> sample_tick;
     if (config.metricsSamplePeriod > 0) {
-        sample_tick = [&registry, &samples, &events, &all_finished,
-                       &config, &quiescing, &sample_tick] {
-            if (quiescing)
-                return;  // draining; the checkpoint re-arm reschedules
+        add_tick(config.metricsSamplePeriod, [&] {
             samples.push_back(registry.snapshot(events.now()));
-            if (!all_finished) {
-                events.scheduleAfter(config.metricsSamplePeriod,
-                                     [&sample_tick] { sample_tick(); });
-            }
-        };
-        if (!restoring) {
-            events.scheduleAfter(config.metricsSamplePeriod,
-                                 [&sample_tick] { sample_tick(); });
-        }
+            return !all_finished;
+        });
     }
 
     // Trace counter tracks: the same observation-only pattern as the
     // metrics sampler above -- the tick events shift insertion sequence
     // numbers of later events but never their relative order, and the
     // callback only reads, so the simulated outcome is unchanged.
-    std::function<void()> trace_counter_tick;
     if (tr != nullptr && tr->on(kTraceCounter) &&
         config.trace.counterPeriodCycles > 0) {
-        trace_counter_tick = [tr, &registry, &events, &all_finished,
-                              &config, &quiescing, &trace_counter_tick] {
-            if (quiescing)
-                return;  // draining; the checkpoint re-arm reschedules
+        add_tick(config.trace.counterPeriodCycles, [&] {
             sampleCounterTracks(*tr, registry, events.now());
-            if (!all_finished) {
-                events.scheduleAfter(config.trace.counterPeriodCycles,
-                                     [&trace_counter_tick] {
-                                         trace_counter_tick();
-                                     });
-            }
-        };
-        if (!restoring) {
-            events.scheduleAfter(config.trace.counterPeriodCycles,
-                                 [&trace_counter_tick] {
-                                     trace_counter_tick();
-                                 });
-        }
+            return !all_finished;
+        });
     }
 
     // --- Checkpoint/restore machinery (DESIGN.md §14) -------------------
     const std::uint64_t fingerprint = configFingerprint(workload, config);
 
-    // Serializes every component in canonical section order. Only ever
-    // called at a quiesce point: SMs paused, every queue drained (each
+    // The component sections, then the runner's own. Only ever called
+    // at a quiesce point: SMs paused, every queue drained (each
     // component's saveState asserts its own share of that contract),
     // and crucially *before* the re-arm, so the captured event-queue
     // clocks exclude the resume events -- the restore path re-creates
     // them through the same rearm() call instead.
     const auto save_all = [&](ckpt::Writer &w) {
-        w.section(kSecEngine);
-        w.boolean(false);  // engine family: serial (format slot)
-        const EventQueue::Clock c = events.saveClock();
-        w.u64(c.now);
-        w.u64(c.nextSeq);
-        w.u64(c.executed);
-        w.section(kSecVm);
-        pt_alloc.saveState(w);
-        w.u64(apps.size());
-        for (const auto &ctx : apps)
-            ctx->pageTable->saveState(w);
-        w.section(kSecMm);
-        manager->saveState(w);
-        w.section(kSecXlat);
-        translation.saveState(w);
-        w.section(kSecWalker);
-        walker.saveState(w);
-        w.section(kSecCache);
-        caches.saveState(w);
-        w.section(kSecDram);
-        dram.saveState(w);
-        w.section(kSecPcie);
-        pcie.saveState(w);
-        w.section(kSecPager);
-        pager.saveState(w);
-        w.section(kSecGpu);
-        gpu.saveState(w);
+        sys.save(w);
         w.section(kSecRunner);
         w.boolean(all_finished);
         w.u64(end_cycle);
@@ -723,49 +590,9 @@ runSimulation(const Workload &workload, const SimConfig &config)
     };
 
     const auto load_all = [&](ckpt::Reader &r) {
-        r.section(kSecEngine, "engine");
-        if (r.boolean() && r.ok()) {
-            r.fail("image was captured by the removed sharded engine");
+        sys.load(r);
+        if (!r.ok())
             return;
-        }
-        EventQueue::Clock c;
-        c.now = r.u64();
-        c.nextSeq = r.u64();
-        c.executed = r.u64();
-        if (r.ok())
-            events.restoreClock(c);
-        r.section(kSecVm, "page tables");
-        pt_alloc.loadState(r);
-        const std::uint64_t n_apps = r.u64();
-        if (r.ok() && n_apps != apps.size()) {
-            r.fail("application count mismatch (workload changed?)");
-            return;
-        }
-        // Page tables load before the manager and the TLBs: loading
-        // fires the observer hooks that reseed the checker's shadow
-        // translation map, and the TLB reload below replays its fills
-        // against that shadow.
-        for (const auto &ctx : apps) {
-            ctx->pageTable->loadState(r);
-            if (!r.ok())
-                return;
-        }
-        r.section(kSecMm, "memory manager");
-        manager->loadState(r);
-        r.section(kSecXlat, "translation");
-        translation.loadState(r);
-        r.section(kSecWalker, "walker");
-        walker.loadState(r);
-        r.section(kSecCache, "caches");
-        caches.loadState(r);
-        r.section(kSecDram, "dram");
-        dram.loadState(r);
-        r.section(kSecPcie, "pcie");
-        pcie.loadState(r);
-        r.section(kSecPager, "pager");
-        pager.loadState(r);
-        r.section(kSecGpu, "gpu");
-        gpu.loadState(r);
         r.section(kSecRunner, "runner");
         all_finished = r.boolean();
         end_cycle = r.u64();
@@ -800,17 +627,6 @@ runSimulation(const Workload &workload, const SimConfig &config)
             churn_rng.deserializeState(rng_words);
     };
 
-    const auto write_checkpoint = [&](const std::string &path, Cycles R) {
-        ckpt::Writer w;
-        save_all(w);
-        ckpt::Header h;
-        h.fingerprint = fingerprint;
-        h.resumeCycle = R;
-        const std::string err = ckpt::writeFile(path, h, w.buffer());
-        if (!err.empty())
-            MOSAIC_FATAL(err);
-    };
-
     // Every scheduled checkpoint whose trigger is at-or-before the
     // quiesce point R saves the same quiesced state. A restore re-saves
     // triggers <= its resume cycle here, byte-identical to the original
@@ -818,54 +634,28 @@ runSimulation(const Workload &workload, const SimConfig &config)
     const auto save_due_checkpoints = [&](Cycles R) {
         while (next_ckpt < ckpt_schedule.size() &&
                ckpt_schedule[next_ckpt].first <= R) {
-            write_checkpoint(ckpt_schedule[next_ckpt].second, R);
+            ckpt::Writer w;
+            save_all(w);
+            ckpt::Header h;
+            h.fingerprint = fingerprint;
+            h.resumeCycle = R;
+            const std::string err = ckpt::writeFile(
+                ckpt_schedule[next_ckpt].second, h, w.buffer());
+            if (!err.empty())
+                MOSAIC_FATAL(err);
             ++next_ckpt;
         }
     };
 
     // Re-arms the simulation at quiesce point R: SM issue in id order,
-    // then the periodic tick chains. The identical call sequence runs
-    // after an in-process save and after a restore, scheduling the same
+    // then the periodic ticks. The identical call sequence runs after
+    // an in-process save and after a restore, scheduling the same
     // events with the same sequence numbers -- which is what makes the
     // two arms byte-equal from R on.
     const auto rearm = [&](Cycles R) {
         gpu.resumeAll(R);
-        if (config.churn.enabled) {
-            events.schedule(R + config.churn.periodCycles,
-                            [&churn_tick] { churn_tick(); });
-        }
-        if (config.metricsSamplePeriod > 0 && !all_finished) {
-            events.schedule(R + config.metricsSamplePeriod,
-                            [&sample_tick] { sample_tick(); });
-        }
-        if (trace_counter_tick) {
-            events.schedule(R + config.trace.counterPeriodCycles,
-                            [&trace_counter_tick] {
-                                trace_counter_tick();
-                            });
-        }
-    };
-
-    // Checkpoint trigger: checked before each event dispatch. At
-    // the first moment the next pending event is at-or-after the
-    // trigger cycle, pause SM issue and drain the queue (gated ticks
-    // fire but do no work), then save at R = the drained clock.
-    const auto ckpt_due = [&] {
-        // An empty queue never triggers: that is either the natural end
-        // of the run or a deadlock, and both have their own reporting.
-        return next_ckpt < ckpt_schedule.size() &&
-               events.nextEventAt() != EventQueue::kNoEvent &&
-               events.nextEventAt() >= ckpt_schedule[next_ckpt].first;
-    };
-    const auto quiesce = [&] {
-        gpu.pauseAll();
-        quiescing = true;
-        while (events.runOne()) {
-        }
-        const Cycles R = events.now();
-        save_due_checkpoints(R);
-        quiescing = false;
-        rearm(R);
+        for (const auto &tick : ticks)
+            tick->arm(R);
     };
 
     if (restoring) {
@@ -876,44 +666,43 @@ runSimulation(const Workload &workload, const SimConfig &config)
         if (!r.ok())
             MOSAIC_FATAL("checkpoint " + config.ckpt.restorePath + ": " +
                          r.error());
-        // The audited-violation expectation rides in the manager's
-        // serialized stats; reseed the checker to match.
-        if (checker != nullptr) {
-            checker->seedAuditedViolations(
-                manager->stats().softGuaranteeViolations);
-        }
         save_due_checkpoints(restore_header.resumeCycle);
         rearm(restore_header.resumeCycle);
     }
 
-    if (tr != nullptr && tr->on(kTraceEngine) &&
-        config.trace.engineSampleEvery > 0) {
-        // Sampled engine-dispatch instants: one marker every N executed
-        // events keeps the ring from flooding at full dispatch rate.
-        const std::uint64_t every = config.trace.engineSampleEvery;
-        std::uint64_t executed = 0;
-        while (!all_finished && events.now() < config.maxCycles) {
-            if (ckpt_due()) {
-                quiesce();
-                continue;
+    // Sampled engine-dispatch instants (0 = off): one marker every N
+    // events the loop dispatches keeps the ring from flooding at full
+    // dispatch rate.
+    const std::uint64_t sample_every =
+        tr != nullptr && tr->on(kTraceEngine) ? config.trace.engineSampleEvery
+                                              : 0;
+    std::uint64_t executed = 0;
+    while (!all_finished && events.now() < config.maxCycles) {
+        // Checkpoint trigger: at the first moment the next pending event
+        // is at-or-after the trigger cycle, pause SM issue and drain the
+        // queue (pending ticks fire but do no work), then save at R =
+        // the drained clock. An empty queue never triggers: that is
+        // either the natural end of the run or a deadlock, and both have
+        // their own reporting.
+        if (next_ckpt < ckpt_schedule.size() &&
+            events.nextEventAt() != EventQueue::kNoEvent &&
+            events.nextEventAt() >= ckpt_schedule[next_ckpt].first) {
+            gpu.pauseAll();
+            quiescing = true;
+            while (events.runOne()) {
             }
-            if (!events.runOne())
-                MOSAIC_PANIC("simulation deadlocked: no events pending");
-            if (++executed % every == 0) {
-                tr->instant(kTraceEngine, TraceTrack::Engine,
-                            "engine.sample", events.now(),
-                            {"executed", executed},
-                            {"pending", events.pending()});
-            }
+            const Cycles R = events.now();
+            save_due_checkpoints(R);
+            quiescing = false;
+            rearm(R);
+            continue;
         }
-    } else {
-        while (!all_finished && events.now() < config.maxCycles) {
-            if (ckpt_due()) {
-                quiesce();
-                continue;
-            }
-            if (!events.runOne())
-                MOSAIC_PANIC("simulation deadlocked: no events pending");
+        if (!events.runOne())
+            MOSAIC_PANIC("simulation deadlocked: no events pending");
+        if (sample_every != 0 && ++executed % sample_every == 0) {
+            tr->instant(kTraceEngine, TraceTrack::Engine, "engine.sample",
+                        events.now(), {"executed", executed},
+                        {"pending", events.pending()});
         }
     }
     if (next_ckpt < ckpt_schedule.size()) {
@@ -933,8 +722,8 @@ runSimulation(const Workload &workload, const SimConfig &config)
 
     // Final sweep: after teardown every invariant must still hold (all
     // apps released their regions, so the shadow should be empty too).
-    if (checker != nullptr)
-        checker->verifyAll();
+    if (sys.checker != nullptr)
+        sys.checker->verifyAll();
 
     // Harvest: one generic registry snapshot replaces the old per-field
     // hand-copy; the legacy scalar fields are derived from it.
@@ -955,7 +744,7 @@ runSimulation(const Workload &workload, const SimConfig &config)
         }
         app.ipc = safeRatio(double(app.instructions),
                             double(app.finishCycle));
-        const auto xs = translation.appStats(ctx->pageTable->appId());
+        const auto xs = sys.translation.appStats(ctx->pageTable->appId());
         app.l1TlbHitRate = safeRatio(double(xs.l1Hits),
                                      double(xs.requests));
         app.pageWalks = xs.walks;

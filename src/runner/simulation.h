@@ -1,6 +1,9 @@
 /**
  * @file
- * Assembles a full system from a SimConfig and a Workload and runs it.
+ * Runs a Workload on the System (runner/system.h) a SimConfig
+ * describes: lays out the applications, creates their SMs and warps,
+ * launches them, drives churn, sampling and checkpoints, and harvests
+ * the result.
  */
 
 #ifndef MOSAIC_RUNNER_SIMULATION_H

@@ -10,6 +10,11 @@
  * `mosaic_fuzz --seed N` and the failing schedule can be written out,
  * minimized, and replayed byte-for-byte (`--replay FILE`).
  *
+ * Each run builds the same `System` (src/runner/system.h) the simulator
+ * runs, from a small SimConfig, and drives its manager and translation
+ * service directly; no SMs or warps are created. `--checkpoint-every`
+ * therefore round-trips the production checkpoint section layout.
+ *
  * Usage:
  *   mosaic_fuzz --seed N [--ops N] [--manager mosaic|gpummu|largeonly]
  *               [--oversubscribe] [--apps N] [--out FILE]
@@ -28,18 +33,10 @@
 #include <string>
 #include <vector>
 
-#include "cache/hierarchy.h"
-#include "check/invariant_checker.h"
 #include "ckpt/serde.h"
 #include "common/parse_num.h"
 #include "common/rng.h"
-#include "dram/dram.h"
-#include "engine/event_queue.h"
-#include "mm/gpu_mmu_manager.h"
-#include "mm/large_only_manager.h"
-#include "mm/mosaic_manager.h"
-#include "vm/translation.h"
-#include "vm/walker.h"
+#include "runner/system.h"
 
 using namespace mosaic;
 
@@ -89,24 +86,54 @@ slotVa(unsigned app, unsigned slot)
     return ((static_cast<Addr>(app) + 1) << 32) + slot * kSlotSpacing;
 }
 
-std::unique_ptr<MemoryManager>
-makeManager(const FuzzConfig &cfg, Addr poolBase, std::uint64_t poolBytes,
-            MosaicConfig &mosaicCfg)
+/** Manager kind a schedule names (unknown names run GPU-MMU). */
+ManagerKind
+managerKindOf(const std::string &name)
 {
-    if (cfg.manager == "mosaic")
-        return std::make_unique<MosaicManager>(poolBase, poolBytes,
-                                               mosaicCfg);
-    if (cfg.manager == "largeonly")
-        return std::make_unique<LargeOnlyManager>(poolBase, poolBytes);
-    return std::make_unique<GpuMmuManager>(poolBase, poolBytes);
+    if (name == "mosaic")
+        return ManagerKind::Mosaic;
+    if (name == "largeonly")
+        return ManagerKind::LargeOnly;
+    return ManagerKind::GpuMmu;
 }
 
-/** Mosaic and 2MB-only map whole 2MB frames at the top level; GPU-MMU
- *  runs any hierarchy. */
-bool
-frameSizesFit(const std::string &manager, const PageSizeHierarchy &sizes)
+/**
+ * The simulator configuration a fuzz run builds its System from: two
+ * SMs' worth of TLBs and caches over a small DRAM whose frame pool is
+ * followed by a 16MB page-table pool, with the shadow checker sweeping
+ * after every mutation and collecting violations instead of aborting.
+ */
+SimConfig
+simConfigOf(const FuzzConfig &cfg)
 {
-    return manager == "gpummu" || sizes.frameSizedTop();
+    SimConfig c;
+    c.manager = managerKindOf(cfg.manager);
+    c.gpu.numSms = 2;
+    c.translation.sizes = cfg.sizes;
+    c.translation.colt = cfg.colt;
+    c.dram.channelInterleave = static_cast<ChannelInterleave>(cfg.interleave);
+    c.mosaic.sizes = cfg.sizes;
+    c.mosaic.cac.useBulkCopy = cfg.useBulkCopy;
+    c.mosaic.coalesceResidentThreshold = cfg.coalesceThreshold;
+    // Oversubscription: the pool holds far fewer frames than the
+    // schedule's demand, so OOM, reclaim, compaction, and the
+    // emergency failsafe all get exercised.
+    c.pageTablePoolBytes = 16ull << 20;
+    c.dram.capacityBytes =
+        (cfg.oversubscribe ? (8ull << 20) : (64ull << 20)) +
+        c.pageTablePoolBytes;
+    c.invariantChecks.enabled = true;
+    c.invariantChecks.fullSweepEvery = 1;
+    c.invariantChecks.abortOnViolation = false;
+    return c;
+}
+
+/** Runs every pending event. */
+void
+drain(System &sys)
+{
+    while (sys.events.runOne()) {
+    }
 }
 
 /** Result of executing one schedule. */
@@ -116,153 +143,6 @@ struct RunResult
     std::size_t failOp = 0;       ///< index of the op that tripped
     std::uint64_t violations = 0;
     std::vector<std::string> reports;
-};
-
-/** Checker config shared by every fuzz system (verify every mutation). */
-InvariantChecker::Config
-fuzzCheckerConfig()
-{
-    InvariantChecker::Config c;
-    c.fullSweepEvery = 1;
-    c.abortOnViolation = false;
-    return c;
-}
-
-/**
- * One complete fuzzable system: event queue, DRAM, caches, walker,
- * translation, manager, page tables, and a shadow checker, built the
- * same way for a fresh run and for a checkpoint-restore twin. Members
- * are heap-held (or the struct itself is) so the cross-references the
- * components take at construction stay valid for the system's life.
- */
-struct FuzzSystem
-{
-    CacheHierarchyConfig cacheCfg;
-    EventQueue events;
-    DramConfig dramCfg;
-    std::unique_ptr<DramModel> dram;
-    std::unique_ptr<CacheHierarchy> caches;
-    std::unique_ptr<PageTableWalker> walker;
-    TranslationConfig trCfg;
-    std::unique_ptr<TranslationService> translation;
-    MosaicConfig mosaicCfg;
-    std::unique_ptr<MemoryManager> manager;
-    InvariantChecker checker;
-    std::unique_ptr<RegionPtNodeAllocator> ptAlloc;
-    std::vector<std::unique_ptr<PageTable>> tables;
-
-    explicit FuzzSystem(const FuzzConfig &cfg)
-        : checker(fuzzCheckerConfig())
-    {
-        cacheCfg.numSms = 2;
-
-        dramCfg.channelInterleave =
-            static_cast<ChannelInterleave>(cfg.interleave);
-        dramCfg.capacityBytes = 256ull << 20;
-        dram = std::make_unique<DramModel>(events, dramCfg);
-
-        caches = std::make_unique<CacheHierarchy>(events, *dram, cacheCfg);
-        WalkerConfig walker_cfg;
-        walker = std::make_unique<PageTableWalker>(events, *caches,
-                                                   walker_cfg);
-        trCfg.sizes = cfg.sizes;
-        trCfg.colt = cfg.colt;
-        translation = std::make_unique<TranslationService>(
-            events, *walker, cacheCfg.numSms, trCfg);
-
-        // Oversubscription: the pool holds far fewer frames than the
-        // schedule's demand, so OOM, reclaim, compaction, and the
-        // emergency failsafe all get exercised.
-        const std::uint64_t pool_bytes =
-            cfg.oversubscribe ? (8ull << 20) : (64ull << 20);
-        mosaicCfg.cac.useBulkCopy = cfg.useBulkCopy;
-        mosaicCfg.coalesceResidentThreshold = cfg.coalesceThreshold;
-        mosaicCfg.sizes = cfg.sizes;
-        manager = makeManager(cfg, 0, pool_bytes, mosaicCfg);
-
-        checker.attachManager(manager.get());
-        checker.attachTranslation(translation.get());
-        checker.attachDram(dram.get());
-        if (cfg.manager == "mosaic") {
-            auto *mm = static_cast<MosaicManager *>(manager.get());
-            checker.attachMosaicState(&mm->state());
-            checker.attachCacConfig(&mosaicCfg.cac);
-        }
-        translation->setChecker(&checker);
-
-        ptAlloc = std::make_unique<RegionPtNodeAllocator>(
-            dramCfg.capacityBytes - (16ull << 20), 16ull << 20);
-        for (unsigned a = 0; a < cfg.apps; ++a) {
-            tables.push_back(std::make_unique<PageTable>(
-                static_cast<AppId>(a), *ptAlloc, cfg.sizes));
-            checker.observePageTable(*tables.back());
-            manager->registerApp(static_cast<AppId>(a), *tables.back());
-            translation->registerApp(static_cast<AppId>(a), *tables.back());
-        }
-        ManagerEnv env;
-        env.events = &events;
-        env.dram = dram.get();
-        env.translation = translation.get();
-        env.checker = &checker;
-        manager->setEnv(env);
-    }
-
-    void
-    drain()
-    {
-        while (events.runOne()) {
-        }
-    }
-
-    /** Serializes the quiesced system (canonical component order). */
-    void
-    saveState(ckpt::Writer &w)
-    {
-        const EventQueue::Clock c = events.saveClock();
-        w.u64(c.now);
-        w.u64(c.nextSeq);
-        w.u64(c.executed);
-        ptAlloc->saveState(w);
-        w.u64(tables.size());
-        for (const auto &t : tables)
-            t->saveState(w);
-        manager->saveState(w);
-        translation->saveState(w);
-        walker->saveState(w);
-        caches->saveState(w);
-        dram->saveState(w);
-    }
-
-    /** Mirror of saveState() into a freshly constructed system. */
-    void
-    loadState(ckpt::Reader &r)
-    {
-        EventQueue::Clock c;
-        c.now = r.u64();
-        c.nextSeq = r.u64();
-        c.executed = r.u64();
-        if (r.ok())
-            events.restoreClock(c);
-        ptAlloc->loadState(r);
-        const std::uint64_t n = r.u64();
-        if (r.ok() && n != tables.size()) {
-            r.fail("page-table count mismatch");
-            return;
-        }
-        for (const auto &t : tables) {
-            t->loadState(r);
-            if (!r.ok())
-                return;
-        }
-        manager->loadState(r);
-        translation->loadState(r);
-        walker->loadState(r);
-        caches->loadState(r);
-        dram->loadState(r);
-        if (r.ok())
-            checker.seedAuditedViolations(
-                manager->stats().softGuaranteeViolations);
-    }
 };
 
 /**
@@ -277,7 +157,7 @@ struct FuzzSystem
 RunResult
 runSchedule(const FuzzConfig &cfg, std::size_t checkpointEvery = 0)
 {
-    auto sys = std::make_unique<FuzzSystem>(cfg);
+    auto sys = std::make_unique<System>(simConfigOf(cfg), cfg.apps, nullptr);
 
     // Reserved pages per (app, slot); 0 = slot free. Ops that do not
     // apply to the current state are skipped (keeps minimized schedules
@@ -286,6 +166,14 @@ runSchedule(const FuzzConfig &cfg, std::size_t checkpointEvery = 0)
         cfg.apps, std::vector<unsigned>(kSlotsPerApp, 0));
 
     RunResult result;
+    // Stops the run at op @p at with @p s's checker verdict.
+    const auto fail = [&result](const System &s, std::size_t at) {
+        result.failed = true;
+        result.failOp = at;
+        result.violations = s.checker->violationCount();
+        result.reports = s.checker->reports();
+        return result;
+    };
 
     for (std::size_t i = 0; i < cfg.ops.size(); ++i) {
         const FuzzOp &op = cfg.ops[i];
@@ -316,16 +204,16 @@ runSchedule(const FuzzConfig &cfg, std::size_t checkpointEvery = 0)
             const Addr va = base + (op.page % pages) * kBasePageSize;
             const SmId sm = static_cast<SmId>(op.page % 2);
             Translation out;
-            sys->translation->translate(
-                sm, *sys->tables[app], va,
+            sys->translation.translate(
+                sm, *sys->pageTables[app], va,
                 [&out](const Translation &t) { out = t; });
-            sys->drain();
+            drain(*sys);
             if (!out.valid) {
                 // Far-fault: commit physical memory, then refill.
                 if (sys->manager->backPage(id, va)) {
-                    sys->translation->translate(sm, *sys->tables[app], va,
+                    sys->translation.translate(sm, *sys->pageTables[app], va,
                                                 [](const Translation &) {});
-                    sys->drain();
+                    drain(*sys);
                 }
             }
             break;
@@ -351,15 +239,10 @@ runSchedule(const FuzzConfig &cfg, std::size_t checkpointEvery = 0)
             break;
         }
         }
-        sys->drain();
-        sys->checker.verifyAll();
-        if (sys->checker.violationCount() > result.violations) {
-            result.failed = true;
-            result.failOp = i;
-            result.violations = sys->checker.violationCount();
-            result.reports = sys->checker.reports();
-            return result;  // stop at the first failing op
-        }
+        drain(*sys);
+        sys->checker->verifyAll();
+        if (sys->checker->violationCount() > 0)
+            return fail(*sys, i);  // stop at the first failing op
 
         if (checkpointEvery > 0 && (i + 1) % checkpointEvery == 0) {
             // Round-trip the quiesced system through the checkpoint
@@ -367,10 +250,11 @@ runSchedule(const FuzzConfig &cfg, std::size_t checkpointEvery = 0)
             // twin: any state the serializer loses shows up as a
             // checker violation (or a divergent verdict) downstream.
             ckpt::Writer w;
-            sys->saveState(w);
-            auto fresh = std::make_unique<FuzzSystem>(cfg);
+            sys->save(w);
+            auto fresh =
+                std::make_unique<System>(simConfigOf(cfg), cfg.apps, nullptr);
             ckpt::Reader r(w.buffer());
-            fresh->loadState(r);
+            fresh->load(r);
             std::string err;
             if (!r.ok()) {
                 err = "checkpoint round-trip: " + r.error();
@@ -378,7 +262,7 @@ runSchedule(const FuzzConfig &cfg, std::size_t checkpointEvery = 0)
                 err = "checkpoint round-trip: trailing bytes";
             } else {
                 ckpt::Writer w2;
-                fresh->saveState(w2);
+                fresh->save(w2);
                 if (w2.buffer() != w.buffer())
                     err = "checkpoint round-trip: save->restore->save "
                           "bytes differ";
@@ -390,14 +274,9 @@ runSchedule(const FuzzConfig &cfg, std::size_t checkpointEvery = 0)
                 result.reports = {err};
                 return result;
             }
-            fresh->checker.verifyAll();
-            if (fresh->checker.violationCount() > 0) {
-                result.failed = true;
-                result.failOp = i;
-                result.violations = fresh->checker.violationCount();
-                result.reports = fresh->checker.reports();
-                return result;
-            }
+            fresh->checker->verifyAll();
+            if (fresh->checker->violationCount() > 0)
+                return fail(*fresh, i);
             sys = std::move(fresh);
         }
     }
@@ -413,14 +292,10 @@ runSchedule(const FuzzConfig &cfg, std::size_t checkpointEvery = 0)
             }
         }
     }
-    sys->drain();
-    sys->checker.verifyAll();
-    if (sys->checker.violationCount() > 0) {
-        result.failed = true;
-        result.failOp = cfg.ops.size();
-        result.violations = sys->checker.violationCount();
-        result.reports = sys->checker.reports();
-    }
+    drain(*sys);
+    sys->checker->verifyAll();
+    if (sys->checker->violationCount() > 0)
+        return fail(*sys, cfg.ops.size());
     return result;
 }
 
@@ -581,12 +456,11 @@ readSchedule(const std::string &path, FuzzConfig &cfg)
                 cfg.colt = val != "0";
         }
     }
-    if (!frameSizesFit(cfg.manager, cfg.sizes)) {
-        std::fprintf(stderr,
-                     "mosaic_fuzz: %s: sizes=%s: manager '%s' needs a 2M "
-                     "top level\n",
+    if (const char *why =
+            sizesUnsupported(managerKindOf(cfg.manager), cfg.sizes)) {
+        std::fprintf(stderr, "mosaic_fuzz: %s: sizes=%s: manager '%s' %s\n",
                      path.c_str(), cfg.sizes.toString().c_str(),
-                     cfg.manager.c_str());
+                     cfg.manager.c_str(), why);
         return false;
     }
     while (std::getline(in, line)) {
@@ -752,11 +626,10 @@ main(int argc, char **argv)
         return usage();
     // --smoke runs every manager, so it needs what Mosaic needs.
     const std::string &checked = smoke ? std::string("mosaic") : manager;
-    if (!frameSizesFit(checked, sizes)) {
+    if (const char *why = sizesUnsupported(managerKindOf(checked), sizes)) {
         std::fprintf(stderr,
-                     "flag --sizes: invalid value '%s' (manager '%s' needs "
-                     "a 2M top level, e.g. 4K,2M)\n",
-                     sizes_spec.c_str(), checked.c_str());
+                     "flag --sizes: invalid value '%s' (manager '%s' %s)\n",
+                     sizes_spec.c_str(), checked.c_str(), why);
         return 2;
     }
 

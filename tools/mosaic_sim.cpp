@@ -318,13 +318,11 @@ main(int argc, char **argv)
                          PageSizeHierarchy::kMaxSizeLevels);
             return 1;
         }
-        // Mosaic and 2MB-only map whole 2MB frames at the top level.
-        if (config.manager != ManagerKind::GpuMmu &&
-            !hierarchy.frameSizedTop()) {
+        if (const char *why = sizesUnsupported(config.manager, hierarchy)) {
             std::fprintf(stderr,
                          "flag --sizes: invalid value '%s' (config '%s' "
-                         "needs a 2M top level, e.g. 4K,2M)\n",
-                         sizes_spec.c_str(), config_name.c_str());
+                         "%s)\n",
+                         sizes_spec.c_str(), config_name.c_str(), why);
             return 1;
         }
         config = config.withSizeHierarchy(hierarchy, colt);
