@@ -43,7 +43,8 @@ main()
         r4k.push_back(n4);
         r2m.push_back(n2);
         t.row({name, TextTable::num(ri.totalIpc(), 3), TextTable::pct(n4),
-               TextTable::pct(n2), std::to_string(rb.pageWalks)});
+               TextTable::pct(n2),
+               std::to_string(rb.metrics.u64("vm.walker.walks"))});
     }
     t.row({"MEAN", "", TextTable::pct(mean(r4k)), TextTable::pct(mean(r2m)),
            ""});

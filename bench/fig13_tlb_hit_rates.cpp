@@ -32,11 +32,11 @@ main()
                 runSimulation(w, profile.shape(SimConfig::baseline()));
             const SimResult rm = runSimulation(
                 w, profile.shape(SimConfig::mosaicDefault()));
-            bl1.push_back(rb.l1TlbHitRate);
-            bl2.push_back(rb.l2TlbHitRate);
-            ml1.push_back(rm.l1TlbHitRate);
-            ml2.push_back(rm.l2TlbHitRate);
-            coalesced += rm.mm.coalesceOps;
+            bl1.push_back(l1TlbHitRate(rb.metrics));
+            bl2.push_back(l2TlbHitRate(rb.metrics));
+            ml1.push_back(l1TlbHitRate(rm.metrics));
+            ml2.push_back(l2TlbHitRate(rm.metrics));
+            coalesced += rm.metrics.u64("mm.coalesceOps");
         }
         t.row({std::to_string(n), TextTable::pct(mean(bl1)),
                TextTable::pct(mean(bl2)), TextTable::pct(mean(ml1)),

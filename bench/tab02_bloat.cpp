@@ -46,8 +46,10 @@ main()
             mosaic.fragmentationOccupancy = occ;
             mosaic.churn.enabled = true;
             const SimResult rm = runSimulation(w, mosaic);
-            holes += rm.coalescedHoleBytes;
-            useful += rm.allocatedBytes - rm.coalescedHoleBytes;
+            const std::uint64_t rm_holes =
+                rm.metrics.u64("mm.mosaic.peakCoalescedHoleBytes");
+            holes += rm_holes;
+            useful += rm.metrics.u64("mm.peakAllocatedBytes") - rm_holes;
         }
         t.row({TextTable::pct(occ, 0), std::to_string(holes >> 20),
                std::to_string(useful >> 20),

@@ -67,12 +67,12 @@ main(int argc, char **argv)
         c.churn.enabled = true;
         const SimResult r = runSimulation(w, c);
         t.row({v.name, TextTable::num(r.totalIpc(), 3),
-               std::to_string(r.mm.coalesceOps),
-               std::to_string(r.mm.splinterOps),
-               std::to_string(r.mm.migrations),
-               std::to_string(r.mm.compactions),
-               std::to_string(r.mm.emergencySplinters),
-               std::to_string(r.gpuStallCycles)});
+               std::to_string(r.metrics.u64("mm.coalesceOps")),
+               std::to_string(r.metrics.u64("mm.splinterOps")),
+               std::to_string(r.metrics.u64("mm.migrations")),
+               std::to_string(r.metrics.u64("mm.compactions")),
+               std::to_string(r.metrics.u64("mm.emergencySplinters")),
+               std::to_string(r.metrics.u64("gpu.stallCycles"))});
     }
     t.print();
 

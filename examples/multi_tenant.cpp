@@ -74,13 +74,16 @@ main(int argc, char **argv)
                 weightedSpeedupOf(ri, alone));
     std::printf("L2 TLB hit rate: GPU-MMU %s -> Mosaic %s "
                 "(coalesced %llu frames, %llu splinters)\n",
-                TextTable::pct(rb.l2TlbHitRate).c_str(),
-                TextTable::pct(rm.l2TlbHitRate).c_str(),
-                static_cast<unsigned long long>(rm.mm.coalesceOps),
-                static_cast<unsigned long long>(rm.mm.splinterOps));
+                TextTable::pct(l2TlbHitRate(rb.metrics)).c_str(),
+                TextTable::pct(l2TlbHitRate(rm.metrics)).c_str(),
+                static_cast<unsigned long long>(
+                    rm.metrics.u64("mm.coalesceOps")),
+                static_cast<unsigned long long>(
+                    rm.metrics.u64("mm.splinterOps")));
+    const std::uint64_t violations =
+        rm.metrics.u64("mm.softGuaranteeViolations");
     std::printf("memory protection: %llu soft-guarantee violations "
                 "(0 expected)\n",
-                static_cast<unsigned long long>(
-                    rm.mm.softGuaranteeViolations));
-    return rm.mm.softGuaranteeViolations == 0 ? 0 : 1;
+                static_cast<unsigned long long>(violations));
+    return violations == 0 ? 0 : 1;
 }

@@ -62,9 +62,10 @@ main(int argc, char **argv)
         t.row({row.name, std::to_string(r.totalCycles),
                TextTable::num(r.totalIpc(), 3),
                TextTable::pct(r.totalIpc() / ideal_ipc),
-               TextTable::pct(r.l1TlbHitRate),
-               TextTable::pct(r.l2TlbHitRate),
-               std::to_string(r.pageWalks), std::to_string(r.farFaults)});
+               TextTable::pct(l1TlbHitRate(r.metrics)),
+               TextTable::pct(l2TlbHitRate(r.metrics)),
+               std::to_string(r.metrics.u64("vm.walker.walks")),
+               std::to_string(r.metrics.u64("iobus.paging.farFaults"))});
     }
     t.print();
     return 0;

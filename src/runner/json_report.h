@@ -39,27 +39,28 @@ toJson(const SimResult &result)
     w.field("config", result.configLabel);
     w.field("workload", result.workloadName);
     w.field("totalCycles", result.totalCycles);
-    w.field("l1TlbHitRate", result.l1TlbHitRate);
-    w.field("l2TlbHitRate", result.l2TlbHitRate);
-    w.field("pageWalks", result.pageWalks);
-    w.field("avgWalkLatency", result.avgWalkLatency);
-    w.field("farFaults", result.farFaults);
-    w.field("pagedBytes", result.pagedBytes);
-    w.field("allocatedBytes", result.allocatedBytes);
-    w.field("neededBytes", result.neededBytes);
-    w.field("l1CacheHitRate", result.l1CacheHitRate);
-    w.field("l2CacheHitRate", result.l2CacheHitRate);
-    w.field("gpuStallCycles", result.gpuStallCycles);
+    const MetricsSnapshot &m = result.metrics;
+    w.field("l1TlbHitRate", l1TlbHitRate(m));
+    w.field("l2TlbHitRate", l2TlbHitRate(m));
+    w.field("pageWalks", m.u64("vm.walker.walks"));
+    w.field("avgWalkLatency", m.real("vm.walker.latency.mean"));
+    w.field("farFaults", m.u64("iobus.paging.farFaults"));
+    w.field("pagedBytes", m.u64("iobus.paging.bytesTransferred"));
+    w.field("allocatedBytes", m.u64("mm.peakAllocatedBytes"));
+    w.field("neededBytes", m.u64("sim.neededBytes"));
+    w.field("l1CacheHitRate", l1CacheHitRate(m));
+    w.field("l2CacheHitRate", l2CacheHitRate(m));
+    w.field("gpuStallCycles", m.u64("gpu.stallCycles"));
     w.key("mm").beginObject();
-    w.field("coalesceOps", result.mm.coalesceOps);
-    w.field("splinterOps", result.mm.splinterOps);
-    w.field("compactions", result.mm.compactions);
-    w.field("migrations", result.mm.migrations);
-    w.field("emergencySplinters", result.mm.emergencySplinters);
-    w.field("softGuaranteeViolations", result.mm.softGuaranteeViolations);
-    w.field("outOfFrames", result.mm.outOfFrames);
-    w.field("pagesBacked", result.mm.pagesBacked);
-    w.field("pagesReleased", result.mm.pagesReleased);
+    w.field("coalesceOps", m.u64("mm.coalesceOps"));
+    w.field("splinterOps", m.u64("mm.splinterOps"));
+    w.field("compactions", m.u64("mm.compactions"));
+    w.field("migrations", m.u64("mm.migrations"));
+    w.field("emergencySplinters", m.u64("mm.emergencySplinters"));
+    w.field("softGuaranteeViolations", m.u64("mm.softGuaranteeViolations"));
+    w.field("outOfFrames", m.u64("mm.outOfFrames"));
+    w.field("pagesBacked", m.u64("mm.pagesBacked"));
+    w.field("pagesReleased", m.u64("mm.pagesReleased"));
     w.endObject();
     w.key("apps").beginArray();
     for (const AppResult &app : result.apps) {

@@ -19,20 +19,23 @@ printSimResult(const SimResult &result, std::FILE *out = stdout)
 {
     std::fprintf(out, "=== %s on %s ===\n", result.configLabel.c_str(),
                  result.workloadName.c_str());
+    const MetricsSnapshot &m = result.metrics;
     std::fprintf(out, "cycles: %llu   L1 TLB hit: %s   L2 TLB hit: %s   "
                       "walks: %llu (avg %s cy)\n",
                  static_cast<unsigned long long>(result.totalCycles),
-                 TextTable::pct(result.l1TlbHitRate).c_str(),
-                 TextTable::pct(result.l2TlbHitRate).c_str(),
-                 static_cast<unsigned long long>(result.pageWalks),
-                 TextTable::num(result.avgWalkLatency, 0).c_str());
-    std::fprintf(out, "far-faults: %llu (%llu MB)   coalesced: %llu   "
-                      "splintered: %llu   compactions: %llu\n",
-                 static_cast<unsigned long long>(result.farFaults),
-                 static_cast<unsigned long long>(result.pagedBytes >> 20),
-                 static_cast<unsigned long long>(result.mm.coalesceOps),
-                 static_cast<unsigned long long>(result.mm.splinterOps),
-                 static_cast<unsigned long long>(result.mm.compactions));
+                 TextTable::pct(l1TlbHitRate(m)).c_str(),
+                 TextTable::pct(l2TlbHitRate(m)).c_str(),
+                 static_cast<unsigned long long>(m.u64("vm.walker.walks")),
+                 TextTable::num(m.real("vm.walker.latency.mean"), 0).c_str());
+    std::fprintf(
+        out, "far-faults: %llu (%llu MB)   coalesced: %llu   "
+             "splintered: %llu   compactions: %llu\n",
+        static_cast<unsigned long long>(m.u64("iobus.paging.farFaults")),
+        static_cast<unsigned long long>(
+            m.u64("iobus.paging.bytesTransferred") >> 20),
+        static_cast<unsigned long long>(m.u64("mm.coalesceOps")),
+        static_cast<unsigned long long>(m.u64("mm.splinterOps")),
+        static_cast<unsigned long long>(m.u64("mm.compactions")));
     TextTable t;
     t.header({"app", "SMs", "instructions", "finish cycle", "IPC"});
     for (const AppResult &app : result.apps) {

@@ -39,51 +39,6 @@ struct AppCtx
 };
 
 /**
- * Derives the legacy SimResult scalar fields from the metrics snapshot.
- * Every value reads the same underlying counter the old hand-harvest
- * read, so derived figures (bench tables, weighted speedup) stay
- * byte-identical -- the refactor's correctness proof.
- */
-void
-deriveLegacyScalars(SimResult &result)
-{
-    const MetricsSnapshot &m = result.metrics;
-    result.l1TlbHitRate =
-        safeRatio(double(m.u64("vm.translation.l1Hits")),
-                  double(m.u64("vm.translation.requests")));
-    result.l2TlbHitRate = safeRatio(
-        double(m.u64("vm.tlb.l2.base.hits") +
-               m.u64("vm.tlb.l2.large.hits")),
-        double(m.u64("vm.tlb.l2.base.accesses") +
-               m.u64("vm.tlb.l2.large.accesses")));
-    result.pageWalks = m.u64("vm.walker.walks");
-    result.avgWalkLatency = m.real("vm.walker.latency.mean");
-    result.farFaults = m.u64("iobus.paging.farFaults");
-    result.pagedBytes = m.u64("iobus.paging.bytesTransferred");
-    result.mm.regionsReserved = m.u64("mm.regionsReserved");
-    result.mm.pagesBacked = m.u64("mm.pagesBacked");
-    result.mm.pagesReleased = m.u64("mm.pagesReleased");
-    result.mm.coalesceOps = m.u64("mm.coalesceOps");
-    result.mm.splinterOps = m.u64("mm.splinterOps");
-    result.mm.compactions = m.u64("mm.compactions");
-    result.mm.migrations = m.u64("mm.migrations");
-    result.mm.emergencySplinters = m.u64("mm.emergencySplinters");
-    result.mm.softGuaranteeViolations =
-        m.u64("mm.softGuaranteeViolations");
-    result.mm.outOfFrames = m.u64("mm.outOfFrames");
-    result.allocatedBytes = m.u64("mm.peakAllocatedBytes");
-    result.neededBytes = m.u64("sim.neededBytes");
-    result.coalescedHoleBytes = m.u64("mm.mosaic.peakCoalescedHoleBytes");
-    result.l1CacheHitRate = safeRatio(double(m.u64("cache.l1.hits")),
-                                      double(m.u64("cache.l1.accesses")));
-    result.l2CacheHitRate = safeRatio(double(m.u64("cache.l2.hits")),
-                                      double(m.u64("cache.l2.accesses")));
-    result.dramRowHits = m.u64("dram.rowHits");
-    result.dramRowMisses = m.u64("dram.rowMisses");
-    result.gpuStallCycles = m.u64("gpu.stallCycles");
-}
-
-/**
  * Counter tracks sampled into the trace. A curated list of string
  * literals rather than the live snapshot keys: TraceEvent stores
  * `const char *` names, so they must outlive the tracer.
@@ -725,8 +680,8 @@ runSimulation(const Workload &workload, const SimConfig &config)
     if (sys.checker != nullptr)
         sys.checker->verifyAll();
 
-    // Harvest: one generic registry snapshot replaces the old per-field
-    // hand-copy; the legacy scalar fields are derived from it.
+    // Harvest: the registry snapshot carries every counter; only the
+    // per-app view below is assembled by hand.
     SimResult result;
     result.configLabel = config.label;
     result.workloadName = workload.name;
@@ -754,8 +709,33 @@ runSimulation(const Workload &workload, const SimConfig &config)
     result.metrics = registry.snapshot(snap_now);
     result.metricsSamples = std::move(samples);
     result.trace = std::move(tracer);
-    deriveLegacyScalars(result);
     return result;
+}
+
+double
+l1TlbHitRate(const MetricsSnapshot &m)
+{
+    return safeRatio(m.real("vm.translation.l1Hits"),
+                     m.real("vm.translation.requests"));
+}
+
+double
+l2TlbHitRate(const MetricsSnapshot &m)
+{
+    const double hits = m.real("vm.translation.l2Hits");
+    return safeRatio(hits, hits + m.real("vm.translation.walksIssued"));
+}
+
+double
+l1CacheHitRate(const MetricsSnapshot &m)
+{
+    return safeRatio(m.real("cache.l1.hits"), m.real("cache.l1.accesses"));
+}
+
+double
+l2CacheHitRate(const MetricsSnapshot &m)
+{
+    return safeRatio(m.real("cache.l2.hits"), m.real("cache.l2.accesses"));
 }
 
 std::vector<double>

@@ -35,7 +35,13 @@ struct AppResult
     std::uint64_t pageWalks = 0;
 };
 
-/** Everything a simulation reports. */
+/**
+ * Everything a simulation reports. Every registry value (walks, far
+ * faults, memory-manager operations, bloat, ...) lives only in
+ * `metrics`, keyed by dotted path (DESIGN.md §8): read it as
+ * `r.metrics.u64("vm.walker.walks")`, and hit rates with the functions
+ * below.
+ */
 struct SimResult
 {
     std::string configLabel;
@@ -43,12 +49,7 @@ struct SimResult
     std::vector<AppResult> apps;
     Cycles totalCycles = 0;
 
-    /**
-     * Generic end-of-run capture of every metric the simulation's
-     * StatsRegistry knows about, keyed by dotted path (DESIGN.md §8).
-     * The scalar fields below are *derived* from this snapshot and kept
-     * for source compatibility -- new metrics need no new fields here.
-     */
+    /** End-of-run capture of every metric the StatsRegistry knows. */
     MetricsSnapshot metrics;
 
     /** Interval snapshots (SimConfig::metricsSamplePeriod > 0 only). */
@@ -61,26 +62,6 @@ struct SimResult
      */
     std::shared_ptr<Tracer> trace;
 
-    double l1TlbHitRate = 0.0;
-    double l2TlbHitRate = 0.0;
-    std::uint64_t pageWalks = 0;
-    double avgWalkLatency = 0.0;
-
-    std::uint64_t farFaults = 0;
-    std::uint64_t pagedBytes = 0;
-
-    MemoryManagerStats mm;
-    std::uint64_t allocatedBytes = 0;   ///< physical memory held at peak
-    std::uint64_t neededBytes = 0;      ///< 4KB-granularity demand
-    /** Peak bytes locked as holes inside coalesced frames (Mosaic). */
-    std::uint64_t coalescedHoleBytes = 0;
-
-    double l1CacheHitRate = 0.0;
-    double l2CacheHitRate = 0.0;
-    std::uint64_t dramRowHits = 0;
-    std::uint64_t dramRowMisses = 0;
-    Cycles gpuStallCycles = 0;          ///< CAC whole-device stalls
-
     /** Sum of per-app IPCs (single number for 1-app runs). */
     double
     totalIpc() const
@@ -91,6 +72,18 @@ struct SimResult
         return total;
     }
 };
+
+/**
+ * Hit rates over a snapshot (SimResult::metrics or an interval sample),
+ * 0 when nothing was looked up. TLB rates are per translation request
+ * (L1) and per shared-L2 lookup, l2Hits / (l2Hits + walksIssued): every
+ * L2 lookup hits or issues a walk, whereas the TLB arrays count one
+ * probe per page-size array searched. Cache rates are per access.
+ */
+double l1TlbHitRate(const MetricsSnapshot &m);
+double l2TlbHitRate(const MetricsSnapshot &m);
+double l1CacheHitRate(const MetricsSnapshot &m);
+double l2CacheHitRate(const MetricsSnapshot &m);
 
 /**
  * Runs @p workload under @p config to completion.

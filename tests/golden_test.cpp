@@ -69,6 +69,24 @@ pinnedConfig(SimConfig c)
 }
 
 /**
+ * Translation conservation, checked on every golden run: once the run
+ * has drained, each translation request was served by exactly one of
+ * the L1 TLB, a merge onto an outstanding L1 miss, the shared L2 TLB or
+ * a page walk. A violation is an accounting bug; never relax the
+ * identity to make a run pass.
+ */
+void
+expectTranslationConserved(const MetricsSnapshot &m)
+{
+    const std::uint64_t requests = m.u64("vm.translation.requests");
+    EXPECT_GT(requests, 0u);
+    EXPECT_EQ(requests, m.u64("vm.translation.l1Hits") +
+                            m.u64("vm.translation.mshrMerges") +
+                            m.u64("vm.translation.l2Hits") +
+                            m.u64("vm.translation.walksIssued"));
+}
+
+/**
  * Normalizes the metrics document for stable storage: exact JSON bytes
  * plus a trailing newline (what writeMetricsJson emits). The JSON
  * itself is already deterministic -- sorted metric paths, fixed number
@@ -79,6 +97,7 @@ std::string
 snapshotDocument(const SimConfig &config)
 {
     const SimResult result = runSimulation(pinnedWorkload(), config);
+    expectTranslationConserved(result.metrics);
     return metricsToJson(result, managerKindName(config.manager)) + "\n";
 }
 
@@ -198,6 +217,7 @@ tracedConfig()
 TEST(GoldenTest, SerialTraceMatchesGolden)
 {
     const SimResult r = runSimulation(tracedWorkload(), tracedConfig());
+    expectTranslationConserved(r.metrics);
     ASSERT_NE(r.trace, nullptr);
     EXPECT_EQ(r.trace->dropped(), 0u)
         << "the pinned trace cell must fit the ring; a lossy golden "

@@ -34,8 +34,8 @@ TEST(IntegrationTest, MosaicBeatsBaselineOnTlbThrashingWorkload)
     const SimResult mosaic =
         runSimulation(w, fast(SimConfig::mosaicDefault()));
     EXPECT_GT(mosaic.totalIpc(), base.totalIpc() * 1.2);
-    EXPECT_GT(mosaic.mm.coalesceOps, 0u);
-    EXPECT_GT(mosaic.l1TlbHitRate, base.l1TlbHitRate);
+    EXPECT_GT(mosaic.metrics.u64("mm.coalesceOps"), 0u);
+    EXPECT_GT(l1TlbHitRate(mosaic.metrics), l1TlbHitRate(base.metrics));
 }
 
 TEST(IntegrationTest, IdealTlbIsAnUpperBound)
@@ -47,7 +47,7 @@ TEST(IntegrationTest, IdealTlbIsAnUpperBound)
         runSimulation(w, fast(SimConfig::mosaicDefault()));
     EXPECT_GE(ideal.totalIpc() * 1.02, mosaic.totalIpc());
     EXPECT_GE(ideal.totalIpc() * 1.02, base.totalIpc());
-    EXPECT_EQ(ideal.pageWalks, 0u);
+    EXPECT_EQ(ideal.metrics.u64("vm.walker.walks"), 0u);
 }
 
 TEST(IntegrationTest, MosaicComesCloseToIdeal)
@@ -73,7 +73,9 @@ TEST(IntegrationTest, LargePagesAloneCollapseUnderRealPaging)
     const SimResult r4k = runSimulation(w, base);
     const SimResult r2m = runSimulation(w, large);
     EXPECT_LT(r2m.totalIpc(), r4k.totalIpc());
-    EXPECT_GT(r2m.pagedBytes, r4k.pagedBytes);  // untouched data moved
+    // Untouched data moved.
+    EXPECT_GT(r2m.metrics.u64("iobus.paging.bytesTransferred"),
+              r4k.metrics.u64("iobus.paging.bytesTransferred"));
 }
 
 TEST(IntegrationTest, LargePagesWinWithoutPagingOverhead)
@@ -91,7 +93,7 @@ TEST(IntegrationTest, MemoryProtectionHeldThroughoutMultiAppRun)
     const Workload w = tinyWorkload("BFS", 3);
     const SimResult r = runSimulation(w, fast(SimConfig::mosaicDefault()));
     // No frame ever held two applications' pages.
-    EXPECT_EQ(r.mm.softGuaranteeViolations, 0u);
+    EXPECT_EQ(r.metrics.u64("mm.softGuaranteeViolations"), 0u);
 }
 
 TEST(IntegrationTest, DeterministicForSameSeed)
@@ -101,8 +103,7 @@ TEST(IntegrationTest, DeterministicForSameSeed)
     const SimResult b = runSimulation(w, fast(SimConfig::mosaicDefault()));
     EXPECT_EQ(a.totalCycles, b.totalCycles);
     EXPECT_EQ(a.apps[0].instructions, b.apps[0].instructions);
-    EXPECT_EQ(a.pageWalks, b.pageWalks);
-    EXPECT_EQ(a.farFaults, b.farFaults);
+    EXPECT_EQ(a.metrics.toJson(), b.metrics.toJson());
 }
 
 TEST(IntegrationTest, DemandPagingTransfersOnlyTouchedData)
@@ -113,7 +114,8 @@ TEST(IntegrationTest, DemandPagingTransfersOnlyTouchedData)
     const SimResult large =
         runSimulation(w, fast(SimConfig::largeOnly()));
     // Mosaic transfers 4KB pages on demand; 2MB-only drags whole chunks.
-    EXPECT_LT(mosaic.pagedBytes, large.pagedBytes);
+    EXPECT_LT(mosaic.metrics.u64("iobus.paging.bytesTransferred"),
+              large.metrics.u64("iobus.paging.bytesTransferred"));
 }
 
 TEST(IntegrationTest, MultiAppIncreasesBaselineTlbPressure)
@@ -123,7 +125,7 @@ TEST(IntegrationTest, MultiAppIncreasesBaselineTlbPressure)
     const SimResult four =
         runSimulation(tinyWorkload("CONS", 4), fast(SimConfig::baseline()));
     // Shared L2 TLB interference grows with concurrency (Fig. 13).
-    EXPECT_LE(four.l2TlbHitRate, one.l2TlbHitRate + 0.05);
+    EXPECT_LE(l2TlbHitRate(four.metrics), l2TlbHitRate(one.metrics) + 0.05);
 }
 
 TEST(IntegrationTest, WeightedSpeedupAgainstAloneRuns)
@@ -149,7 +151,9 @@ TEST(IntegrationTest, FragmentationStressStaysCorrectAndUsesCac)
     // All frames pre-fragmented: CAC consolidates the alien data to
     // recover whole frames, so some coalescing still happens and the
     // run completes with every instruction executed.
-    EXPECT_GT(r.mm.compactions + r.mm.coalesceOps, 0u);
+    EXPECT_GT(r.metrics.u64("mm.compactions") +
+                  r.metrics.u64("mm.coalesceOps"),
+              0u);
     std::uint64_t instr = 0;
     for (const AppResult &app : r.apps)
         instr += app.instructions;

@@ -2,10 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cctype>
 #include <cstdio>
 #include <cstring>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "common/table.h"
 #include "runner/json_report.h"
@@ -268,45 +271,106 @@ TEST(JsonReportTest, MetricsJsonParsesAndNamesManager)
     EXPECT_NE(json.find("\"samples\":["), std::string::npos);
 }
 
-TEST(JsonReportTest, RegistrySnapshotMatchesLegacyScalars)
+TEST(JsonReportTest, SnapshotCoversRunAndEveryApp)
 {
-    // The legacy SimResult scalars are now *derived from* the registry
-    // snapshot; this pins the equivalence on a real seeded simulation.
     const SimResult &r = miniSimResult();
     const MetricsSnapshot &m = r.metrics;
     EXPECT_EQ(m.atCycle, r.totalCycles);
     EXPECT_EQ(m.u64("sim.cycles"), r.totalCycles);
-    EXPECT_EQ(m.u64("vm.walker.walks"), r.pageWalks);
-    EXPECT_EQ(m.u64("iobus.paging.farFaults"), r.farFaults);
-    EXPECT_EQ(m.u64("iobus.paging.bytesTransferred"), r.pagedBytes);
-    EXPECT_EQ(m.u64("mm.peakAllocatedBytes"), r.allocatedBytes);
-    EXPECT_EQ(m.u64("sim.neededBytes"), r.neededBytes);
-    EXPECT_EQ(m.u64("gpu.stallCycles"), r.gpuStallCycles);
-    EXPECT_EQ(m.u64("mm.coalesceOps"), r.mm.coalesceOps);
-    EXPECT_EQ(m.u64("mm.splinterOps"), r.mm.splinterOps);
-    EXPECT_EQ(m.u64("mm.compactions"), r.mm.compactions);
-    EXPECT_EQ(m.u64("mm.migrations"), r.mm.migrations);
-    EXPECT_EQ(m.u64("mm.pagesBacked"), r.mm.pagesBacked);
-    EXPECT_EQ(m.u64("mm.pagesReleased"), r.mm.pagesReleased);
-
-    const std::uint64_t l1_requests = m.u64("vm.translation.requests");
-    const std::uint64_t l1_hits = m.u64("vm.translation.l1Hits");
-    ASSERT_GT(l1_requests, 0u);
-    EXPECT_DOUBLE_EQ(r.l1TlbHitRate, double(l1_hits) / double(l1_requests));
-
-    const std::uint64_t l2_acc = m.u64("vm.tlb.l2.base.accesses") +
-                                 m.u64("vm.tlb.l2.large.accesses");
-    const std::uint64_t l2_hits = m.u64("vm.tlb.l2.base.hits") +
-                                  m.u64("vm.tlb.l2.large.hits");
-    if (l2_acc > 0)
-        EXPECT_DOUBLE_EQ(r.l2TlbHitRate, double(l2_hits) / double(l2_acc));
-
     // Per-app labeled families cover every app in the workload.
     for (std::size_t i = 0; i < r.apps.size(); ++i) {
         const std::string key = "vm.translation.app.requests{app=" +
                                 std::to_string(i) + "}";
         EXPECT_TRUE(m.has(key)) << key;
     }
+}
+
+/** A snapshot of integer counters, sorted by key as snapshots are. */
+MetricsSnapshot
+snapshotOf(const std::vector<std::pair<std::string, std::uint64_t>> &counters)
+{
+    MetricsSnapshot m;
+    for (const auto &[path, v] : counters)
+        m.values.push_back({path, {}, true, v, 0.0});
+    std::sort(m.values.begin(), m.values.end(),
+              [](const MetricValue &a, const MetricValue &b) {
+                  return a.key() < b.key();
+              });
+    return m;
+}
+
+TEST(HitRateTest, L1TlbHitRateIsHitsPerRequest)
+{
+    const MetricsSnapshot m = snapshotOf(
+        {{"vm.translation.requests", 200}, {"vm.translation.l1Hits", 150}});
+    EXPECT_DOUBLE_EQ(l1TlbHitRate(m), 0.75);
+}
+
+TEST(HitRateTest, L2TlbHitRateIsHitsPerLookupNotPerArrayProbe)
+{
+    // 40 L2 lookups: 30 hit, 10 issue a walk. Each probed both the
+    // large and the base array, so the arrays saw 80 probes; the rate
+    // divides by lookups.
+    const MetricsSnapshot m = snapshotOf({
+        {"vm.translation.l2Hits", 30},
+        {"vm.translation.walksIssued", 10},
+        {"vm.tlb.l2.base.accesses", 40},
+        {"vm.tlb.l2.base.hits", 30},
+        {"vm.tlb.l2.large.accesses", 40},
+        {"vm.tlb.l2.large.hits", 0},
+    });
+    EXPECT_DOUBLE_EQ(l2TlbHitRate(m), 0.75);
+}
+
+TEST(HitRateTest, CacheHitRatesAreHitsPerAccess)
+{
+    const MetricsSnapshot m = snapshotOf({
+        {"cache.l1.accesses", 100},
+        {"cache.l1.hits", 40},
+        {"cache.l2.accesses", 60},
+        {"cache.l2.hits", 15},
+    });
+    EXPECT_DOUBLE_EQ(l1CacheHitRate(m), 0.4);
+    EXPECT_DOUBLE_EQ(l2CacheHitRate(m), 0.25);
+}
+
+TEST(HitRateTest, RatesAreZeroWithoutLookups)
+{
+    const MetricsSnapshot empty;
+    EXPECT_EQ(l1TlbHitRate(empty), 0.0);
+    EXPECT_EQ(l2TlbHitRate(empty), 0.0);
+    EXPECT_EQ(l1CacheHitRate(empty), 0.0);
+    EXPECT_EQ(l2CacheHitRate(empty), 0.0);
+}
+
+/**
+ * GPU-MMU probes the large and the base L2 TLB array on every lookup,
+ * so a rate over array probes would read half the per-lookup rate the
+ * report must carry.
+ */
+TEST(JsonReportTest, GpuMmuL2TlbHitRateIsPerLookup)
+{
+    Workload w = scaledWorkload(heterogeneousWorkload(2, 5), 0.05);
+    for (AppParams &a : w.apps)
+        a.instrPerWarp = 200;
+    SimConfig cfg = SimConfig::baseline().withIoCompression(16.0);
+    cfg.gpu.sm.warpsPerSm = 8;
+    const SimResult r = runSimulation(w, cfg);
+    const MetricsSnapshot &m = r.metrics;
+
+    const std::uint64_t hits = m.u64("vm.translation.l2Hits");
+    const std::uint64_t lookups = hits + m.u64("vm.translation.walksIssued");
+    ASSERT_GT(hits, 0u);
+    EXPECT_EQ(m.u64("vm.tlb.l2.base.accesses") +
+                  m.u64("vm.tlb.l2.large.accesses"),
+              2 * lookups);
+
+    JsonWriter want;
+    want.beginObject();
+    want.field("l2TlbHitRate", double(hits) / double(lookups));
+    want.endObject();
+    const std::string field = want.str().substr(1, want.str().size() - 2);
+    EXPECT_NE(toJson(r).find(field), std::string::npos) << field;
 }
 
 TEST(JsonReportTest, IntervalSamplingIsObservationOnly)
@@ -324,8 +388,6 @@ TEST(JsonReportTest, IntervalSamplingIsObservationOnly)
 
     // Sampling must not perturb the simulation...
     EXPECT_EQ(plain.totalCycles, sampled.totalCycles);
-    EXPECT_EQ(plain.pageWalks, sampled.pageWalks);
-    EXPECT_EQ(plain.farFaults, sampled.farFaults);
     EXPECT_EQ(toJson(plain), toJson(sampled));
     // ...and must actually record monotone interval snapshots.
     EXPECT_TRUE(plain.metricsSamples.empty());
@@ -334,7 +396,14 @@ TEST(JsonReportTest, IntervalSamplingIsObservationOnly)
     for (const MetricsSnapshot &s : sampled.metricsSamples) {
         EXPECT_GE(s.atCycle, prev);
         prev = s.atCycle;
-        EXPECT_LE(s.u64("vm.walker.walks"), sampled.pageWalks);
+        EXPECT_LE(s.u64("vm.walker.walks"),
+                  sampled.metrics.u64("vm.walker.walks"));
+        // The hit-rate functions read interval samples too.
+        for (const double rate : {l1TlbHitRate(s), l2TlbHitRate(s),
+                                  l1CacheHitRate(s), l2CacheHitRate(s)}) {
+            EXPECT_GE(rate, 0.0);
+            EXPECT_LE(rate, 1.0);
+        }
     }
 }
 

@@ -75,7 +75,7 @@ TEST(SimulationTest, PrefetchModeHasNoFarFaults)
     const Workload w = smallWorkload("SCP", 1);
     const SimResult r = runSimulation(
         w, fast(SimConfig::baseline().withoutPaging()));
-    EXPECT_EQ(r.farFaults, 0u);
+    EXPECT_EQ(r.metrics.u64("iobus.paging.farFaults"), 0u);
     EXPECT_GT(r.apps[0].instructions, 0u);
 }
 
@@ -83,8 +83,10 @@ TEST(SimulationTest, DemandModeTransfersTouchedBytes)
 {
     const Workload w = smallWorkload("SCP", 1);
     const SimResult r = runSimulation(w, fast(SimConfig::baseline()));
-    EXPECT_GT(r.farFaults, 0u);
-    EXPECT_EQ(r.pagedBytes, r.farFaults * kBasePageSize);
+    const std::uint64_t faults = r.metrics.u64("iobus.paging.farFaults");
+    EXPECT_GT(faults, 0u);
+    EXPECT_EQ(r.metrics.u64("iobus.paging.bytesTransferred"),
+              faults * kBasePageSize);
 }
 
 TEST(SimulationTest, ChurnProducesAllocationActivity)
@@ -97,8 +99,10 @@ TEST(SimulationTest, ChurnProducesAllocationActivity)
     SimConfig quiet = cfg;
     quiet.churn.enabled = false;
     const SimResult steady = runSimulation(w, quiet);
-    EXPECT_GT(churned.mm.pagesReleased, steady.mm.pagesReleased);
-    EXPECT_GT(churned.mm.regionsReserved, steady.mm.regionsReserved);
+    EXPECT_GT(churned.metrics.u64("mm.pagesReleased"),
+              steady.metrics.u64("mm.pagesReleased"));
+    EXPECT_GT(churned.metrics.u64("mm.regionsReserved"),
+              steady.metrics.u64("mm.regionsReserved"));
 }
 
 /**
@@ -145,13 +149,14 @@ TEST(SimulationTest, ResultCarriesSubsystemStats)
     const Workload w = smallWorkload("HISTO", 1);
     const SimResult r = runSimulation(w, fast(SimConfig::baseline()));
     EXPECT_GT(r.totalCycles, 0u);
-    EXPECT_GT(r.pageWalks, 0u);
-    EXPECT_GT(r.avgWalkLatency, 0.0);
-    EXPECT_GT(r.neededBytes, 0u);
-    EXPECT_GT(r.allocatedBytes, 0u);
-    EXPECT_GT(r.dramRowHits + r.dramRowMisses, 0u);
-    EXPECT_GE(r.l1CacheHitRate, 0.0);
-    EXPECT_LE(r.l1CacheHitRate, 1.0);
+    const MetricsSnapshot &m = r.metrics;
+    EXPECT_GT(m.u64("vm.walker.walks"), 0u);
+    EXPECT_GT(m.real("vm.walker.latency.mean"), 0.0);
+    EXPECT_GT(m.u64("sim.neededBytes"), 0u);
+    EXPECT_GT(m.u64("mm.peakAllocatedBytes"), 0u);
+    EXPECT_GT(m.u64("dram.rowHits") + m.u64("dram.rowMisses"), 0u);
+    EXPECT_GE(l1CacheHitRate(m), 0.0);
+    EXPECT_LE(l1CacheHitRate(m), 1.0);
 }
 
 TEST(SimulationTest, SeedChangesFaultTiming)
@@ -195,7 +200,8 @@ TEST(SimulationTest, PageWalkCacheReducesWalkLatency)
     pwc.walker.usePageWalkCache = true;
     const SimResult r_base = runSimulation(w, base);
     const SimResult r_pwc = runSimulation(w, pwc);
-    EXPECT_LT(r_pwc.avgWalkLatency, r_base.avgWalkLatency);
+    EXPECT_LT(r_pwc.metrics.real("vm.walker.latency.mean"),
+              r_base.metrics.real("vm.walker.latency.mean"));
 }
 
 }  // namespace

@@ -35,19 +35,12 @@ fast(SimConfig c)
     return c.withIoCompression(16.0);
 }
 
-/** Field-by-field equality of the results the benches consume. */
+/** Equality of everything the benches consume. */
 void
 expectSameResult(const SimResult &a, const SimResult &b)
 {
     EXPECT_EQ(a.totalCycles, b.totalCycles);
-    EXPECT_EQ(a.pageWalks, b.pageWalks);
-    EXPECT_EQ(a.farFaults, b.farFaults);
-    EXPECT_EQ(a.pagedBytes, b.pagedBytes);
-    EXPECT_EQ(a.allocatedBytes, b.allocatedBytes);
-    EXPECT_DOUBLE_EQ(a.l1TlbHitRate, b.l1TlbHitRate);
-    EXPECT_DOUBLE_EQ(a.l2TlbHitRate, b.l2TlbHitRate);
-    EXPECT_DOUBLE_EQ(a.l1CacheHitRate, b.l1CacheHitRate);
-    EXPECT_DOUBLE_EQ(a.l2CacheHitRate, b.l2CacheHitRate);
+    EXPECT_EQ(a.metrics.toJson(), b.metrics.toJson());
     ASSERT_EQ(a.apps.size(), b.apps.size());
     for (std::size_t i = 0; i < a.apps.size(); ++i) {
         EXPECT_EQ(a.apps[i].instructions, b.apps[i].instructions);

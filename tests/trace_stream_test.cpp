@@ -98,7 +98,7 @@ TEST(JsonReportTest, EmitsWellFormedFields)
     r.configLabel = "Mosaic";
     r.workloadName = "HISTO-x2";
     r.totalCycles = 123;
-    r.mm.coalesceOps = 7;
+    r.metrics.values.push_back({"mm.coalesceOps", {}, true, 7, 0.0});
     AppResult app;
     app.name = "HISTO";
     app.smCount = 15;

@@ -242,6 +242,15 @@ main(int argc, char **argv)
         }
     }
 
+    // Pre-fragmentation pins occ x 512 pages in each chosen 2MB frame;
+    // pinning none would make --frag a silent no-op.
+    if (frag > 0.0 && occ * kBasePagesPerLargePage < 1.0) {
+        std::fprintf(stderr, "flag --frag: invalid value '%g' (needs --occ "
+                             "of at least 1/512, one pinned 4K page per 2M "
+                             "frame, e.g. --occ 0.25)\n", frag);
+        return 1;
+    }
+
     // Build the workload.
     Workload w;
     if (workload_spec.rfind("hom:", 0) == 0) {
